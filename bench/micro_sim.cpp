@@ -11,10 +11,15 @@
 //           LegacyScheduler): every segment step re-evaluates
 //           instructions_per_second, utilization (which pays the
 //           smooth-min pow pair a second time) and package_watts.
-//   cold    SimMachine on an empty rate cache: every (op, CF, UF) visit
-//           fills its table entry once (memoised p-norm terms make most
-//           fills a single pow).
-//   warm    SimMachine on a filled cache: table lookups + multiply-adds.
+//   cold    SimMachine on fresh rate rows: every (op, CF, UF) visit is a
+//           miss, and the first visit of each ladder level also pays that
+//           level's p-norm term.
+//   warm    SimMachine after the first pass, all p-norm terms known. Each
+//           op row is an 8-slot direct-mapped cache, not a full (CF, UF)
+//           grid, and the walk cycles all 228 Haswell (CF, UF) pairs, so
+//           a pair's slot has been re-keyed by the time it comes round
+//           again: every pair visit is a miss costing one pow, and the
+//           quanta between visits are multiply-adds on hoisted rates.
 //
 // Results go to BENCH_sim.json. Absolute numbers are host-dependent;
 // CF_BENCH_GATE=1 makes the warm >= 3x direct (cold-path) acceptance
@@ -199,11 +204,11 @@ int main(int argc, char** argv) {
 
     sim::SimMachine machine(walk_cfg, walk, 0x5eed + rep);
     // Pass 1 on a fresh machine: every (op, CF, UF) combination is a
-    // cache fill.
+    // miss, and each ladder level's p-norm terms are computed once.
     t0 = now_s();
     cold_quanta += ladder_walk(machine, walk_cfg);
     cold_s += now_s() - t0;
-    // Identical walks on the now-filled cache: pure lookups.
+    // Identical walks with every p-norm term memoised: one pow per pair.
     t0 = now_s();
     for (int p = 0; p < warm_passes; ++p) {
       warm_quanta += ladder_walk(machine, walk_cfg);

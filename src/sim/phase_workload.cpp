@@ -1,22 +1,23 @@
 #include "sim/phase_workload.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace cuttlefish::sim {
 
+size_t PhaseProgram::OpBitsHash::operator()(const OpBits& k) const noexcept {
+  return static_cast<size_t>(mix64(k.cpi0, k.tipi));
+}
+
 uint32_t PhaseProgram::intern_op(const OperatingPoint& op) {
-  const auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  for (uint32_t i = 0; i < ops_.size(); ++i) {
-    if (same_bits(ops_[i].cpi0, op.cpi0) && same_bits(ops_[i].tipi, op.tipi)) {
-      return i;
-    }
-  }
-  ops_.push_back(op);
-  return static_cast<uint32_t>(ops_.size() - 1);
+  const OpBits key{std::bit_cast<uint64_t>(op.cpi0),
+                   std::bit_cast<uint64_t>(op.tipi)};
+  const auto [it, inserted] =
+      op_index_.try_emplace(key, static_cast<uint32_t>(ops_.size()));
+  if (inserted) ops_.push_back(op);
+  return it->second;
 }
 
 PhaseProgram& PhaseProgram::add(double instructions, double cpi0,

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/perf_model.hpp"
@@ -25,6 +26,13 @@ struct Segment {
 /// An immutable program of segments plus a builder API. Workload models in
 /// src/workloads construct these to mirror the phase structure of the ten
 /// paper benchmarks (Table 1).
+///
+/// Operating points are interned as segments are added: a hash index
+/// keyed on the bit patterns of (CPI0, TIPI) maps each distinct op to its
+/// first-seen position in ops(), so building a program of n segments costs
+/// O(n) expected time even when nearly every op is distinct (jittered
+/// models). The index is an ordinary member: copies and moves keep
+/// deduping on later add()/repeat().
 class PhaseProgram {
  public:
   PhaseProgram() = default;
@@ -48,6 +56,16 @@ class PhaseProgram {
   bool empty() const { return segments_.empty(); }
 
  private:
+  /// Bit patterns of an op's (CPI0, TIPI): the interning key.
+  struct OpBits {
+    uint64_t cpi0;
+    uint64_t tipi;
+    bool operator==(const OpBits&) const = default;
+  };
+  struct OpBitsHash {
+    size_t operator()(const OpBits& k) const noexcept;
+  };
+
   /// Index of `op` in ops_, appending if unseen. Bitwise comparison (not
   /// operator==) so e.g. -0.0 and +0.0 TIPIs never alias — two segments
   /// share an index only when the models' inputs are identical bits,
@@ -56,6 +74,7 @@ class PhaseProgram {
 
   std::vector<Segment> segments_;
   std::vector<OperatingPoint> ops_;
+  std::unordered_map<OpBits, uint32_t, OpBitsHash> op_index_;
 };
 
 /// Consumption state over a PhaseProgram; owned by SimMachine.

@@ -66,21 +66,18 @@ double SimMachine::power_noise_factor() {
 }
 
 const SimMachine::OpRate& SimMachine::rate_at(uint32_t op_index) const {
+  const auto ncf = static_cast<size_t>(cfg_.core_ladder.levels());
+  const auto nuf = static_cast<uint32_t>(cfg_.uncore_ladder.levels());
   auto& row_ptr = rates_[op_index];
   if (row_ptr == nullptr) {
     row_ptr = std::make_unique<OpRates>();
-    row_ptr->grid.resize(static_cast<size_t>(cfg_.core_ladder.levels()) *
-                         static_cast<size_t>(cfg_.uncore_ladder.levels()));
-    row_ptr->c_term.assign(static_cast<size_t>(cfg_.core_ladder.levels()),
-                           kUnfilled);
-    row_ptr->m_term.assign(static_cast<size_t>(cfg_.uncore_ladder.levels()),
-                           kUnfilled);
+    row_ptr->terms.assign(ncf + nuf, kUnfilled);
   }
   OpRates& row = *row_ptr;
-  OpRate& e = row.grid[static_cast<size_t>(cf_level_) *
-                           static_cast<size_t>(cfg_.uncore_ladder.levels()) +
-                       static_cast<size_t>(uf_level_)];
-  if (e.ips == 0.0) {
+  const uint32_t key = static_cast<uint32_t>(cf_level_) * nuf +
+                       static_cast<uint32_t>(uf_level_);
+  OpRate& e = row.slots[key % kRateSlots];
+  if (e.key != key) {
     // Exactly PerfModel::instructions_per_second, with the two p-norm
     // terms memoised per ladder level: the smooth-min factors over an
     // op's (CF, UF) grid are separable, so exploring a ladder re-pays
@@ -92,14 +89,15 @@ const SimMachine::OpRate& SimMachine::rate_at(uint32_t op_index) const {
     if (!std::isfinite(m)) {
       ips = c;
     } else {
-      double& ct = row.c_term[static_cast<size_t>(cf_level_)];
+      double& ct = row.terms[static_cast<size_t>(cf_level_)];
       if (std::isnan(ct)) ct = perf_.roofline_term(c);
-      double& mt = row.m_term[static_cast<size_t>(uf_level_)];
+      double& mt = row.terms[ncf + static_cast<size_t>(uf_level_)];
       if (std::isnan(mt)) mt = perf_.roofline_term(m);
       ips = perf_.combine_rooflines(ct, mt);
     }
+    e.key = key;
     e.ips = ips;
-    e.util = perf_.utilization_given_ips(ips, core_f_, op);
+    e.util = ips / c;  // PerfModel::utilization_given_ips, c already known
     e.watts = power_.package_watts(core_f_, uncore_f_, e.util, ips * op.tipi);
   }
   return e;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,14 +27,20 @@ namespace cuttlefish::sim {
 ///
 /// Hot path: {ips, utilization, watts} depend only on the segment's
 /// operating point and the (CF, UF) pair, both drawn from small discrete
-/// sets (PhaseProgram dedupes ops; frequencies live on ladders). The
-/// machine keeps a lazily-filled per-(op_index, CF level, UF level) rate
-/// table, so steady-state quanta are table lookups + multiply-adds and the
-/// model's pow pair is paid once per distinct operating point, not twice
-/// per quantum. Cached entries hold the exact doubles direct evaluation
-/// produces and the per-quantum accumulation order is unchanged, so every
-/// counter — and therefore every decision trace and paper table above —
-/// is bit-identical to the uncached path.
+/// sets (PhaseProgram dedupes ops; frequencies live on ladders). Each
+/// deduped op the machine touches gets a small row: a direct-mapped cache
+/// of kRateSlots evaluated (CF, UF) points plus the per-ladder-level
+/// p-norm terms of its two rooflines, so a revisited point is a lookup and
+/// a cold one costs a single pow. Within a segment the current rates are
+/// hoisted out of the advance loop, so steady-state quanta are
+/// multiply-adds. A row costs about half a KiB on the Haswell ladders,
+/// where a full (CF, UF) grid of rates would take over 5 KiB; that matters
+/// because jittered suite models make almost every segment a distinct op,
+/// and every run and calibration pass pays for each op it touches. Cached
+/// entries hold the exact doubles direct evaluation produces and the
+/// per-quantum accumulation order is unchanged, so every counter — and
+/// therefore every decision trace and paper table above — is bit-identical
+/// to the uncached path.
 class SimMachine final : public hal::MsrDevice {
  public:
   SimMachine(const MachineConfig& cfg, const PhaseProgram& program,
@@ -96,22 +103,31 @@ class SimMachine final : public hal::MsrDevice {
   bool write(uint32_t address, uint64_t value) override;
 
  private:
-  /// One cached steady-state operating point evaluation. ips == 0 marks
-  /// an unfilled slot (the perf model asserts ips > 0 for every real op).
+  static constexpr uint32_t kNoKey = UINT32_MAX;
+  static constexpr uint32_t kRateSlots = 8;
+
+  /// One cached steady-state operating point evaluation, tagged with its
+  /// (CF, UF) key cf_level * nuf + uf_level (kNoKey = empty slot).
   struct OpRate {
+    uint32_t key = kNoKey;
     double ips = 0.0;
     double util = 0.0;
     double watts = 0.0;
   };
-  /// Rate table of one deduped operating point: (CF, UF) grid of OpRates
-  /// plus the memoised p-norm terms of each roofline, so a cold (CF, UF)
-  /// visit whose factors are already known costs one pow, not three.
-  /// Rows are heap-allocated on an op's first touch: programs with many
-  /// distinct ops (jittered TIPI models) only pay for the ops they run.
+  /// Rates of one deduped operating point: kRateSlots OpRates direct-mapped
+  /// on key % kRateSlots, plus the memoised p-norm terms of each roofline,
+  /// so a cold (CF, UF) visit whose factors are already known costs one
+  /// pow, not three. Rows are heap-allocated on an op's first touch:
+  /// programs with many distinct ops only pay for the ops they run.
+  ///
+  /// rate_ points into a slot. That is safe because a slot is re-keyed
+  /// only by rate_at() on the same op at another (CF, UF) key, which needs
+  /// a frequency change first, and a frequency change already clears
+  /// rate_.
   struct OpRates {
-    std::vector<OpRate> grid;    // ncf * nuf
-    std::vector<double> c_term;  // per CF level; NaN = unfilled
-    std::vector<double> m_term;  // per UF level; NaN = unfilled
+    std::array<OpRate, kRateSlots> slots;
+    std::vector<double> terms;  // c_term per CF level, then m_term per UF
+                                // level; NaN = unfilled
   };
 
   const OpRate& rate_at(uint32_t op_index) const;

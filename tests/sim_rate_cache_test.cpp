@@ -1,4 +1,4 @@
-// The rate-table contract: SimMachine's per-(op, CF, UF) cache must be
+// The rate-cache contract: SimMachine's per-(op, CF, UF) cache must be
 // *bit-identical* to direct PerfModel/PowerModel evaluation — every pinned
 // table, decision trace and paper artifact stands on that. The oracle here
 // re-implements the uncached advance loop (direct model calls, same noise
@@ -76,6 +76,13 @@ class OracleSim {
       left -= step;
     }
     return dt - left;
+  }
+
+  double demand_bandwidth_now() const {
+    if (cursor_.done()) return 0.0;
+    const OperatingPoint& op = cursor_.op();
+    return perf_.demand_bandwidth(
+        perf_.instructions_per_second(core_f_, uncore_f_, op), op);
   }
 
   double now() const { return now_s_; }
@@ -183,6 +190,101 @@ TEST(SimRateCache, FuzzMatchesDirectEvaluationExactly) {
   }
 }
 
+/// Every counter of `machine` equals the oracle's, exactly.
+void assert_identical(const SimMachine& machine, const OracleSim& oracle,
+                      int step) {
+  ASSERT_EQ(machine.now(), oracle.now()) << "step " << step;
+  ASSERT_EQ(machine.energy_joules(), oracle.energy_joules()) << "step " << step;
+  ASSERT_EQ(machine.instructions_retired(),
+            static_cast<uint64_t>(oracle.instr()))
+      << "step " << step;
+  ASSERT_EQ(machine.tor_inserts(), static_cast<uint64_t>(oracle.tor()))
+      << "step " << step;
+  ASSERT_EQ(machine.workload_done(), oracle.done()) << "step " << step;
+}
+
+TEST(SimRateCache, SlotCollisionsAndEvictionsStayExact) {
+  // One long segment: every (CF, UF) revisit hits the same op's row, and
+  // keys cf * nuf + uf that agree mod 8 share a slot, so this walk keeps
+  // evicting and re-filling slots while rates stay hoisted across quanta.
+  const MachineConfig cfg = haswell_2650v3();
+  const int nuf = cfg.uncore_ladder.levels();
+  PhaseProgram program;
+  program.add(1e14, 1.1, 0.05);
+  SimMachine machine(cfg, program, 0x51075ULL);
+  OracleSim oracle(cfg, program, 0x51075ULL);
+
+  // Keys congruent to 3 mod 8 across the whole ladder grid.
+  std::vector<int> keys;
+  for (int key = 3; key < cfg.core_ladder.levels() * nuf; key += 8) {
+    keys.push_back(key);
+  }
+  ASSERT_GT(keys.size(), 8u);
+  SplitMix64 rng(99);
+  for (int step = 0; step < 400; ++step) {
+    // Mostly bounce between two colliding keys, sometimes jump anywhere
+    // along the congruence class.
+    const int key = rng.next_below(4) == 0
+                        ? keys[rng.next_below(keys.size())]
+                        : keys[static_cast<size_t>(step % 2)];
+    const FreqMHz cf = cfg.core_ladder.at(key / nuf);
+    const FreqMHz uf = cfg.uncore_ladder.at(key % nuf);
+    machine.set_core_frequency(cf);
+    oracle.set_core_frequency(cf);
+    machine.set_uncore_frequency(uf);
+    oracle.set_uncore_frequency(uf);
+    // The governor's query may be the first touch of a (CF, UF) point, or
+    // land between two quanta that reuse the hoisted rates.
+    ASSERT_EQ(machine.demand_bandwidth_now(), oracle.demand_bandwidth_now())
+        << "step " << step;
+    machine.advance(2e-4);
+    oracle.advance(2e-4);
+    ASSERT_EQ(machine.demand_bandwidth_now(), oracle.demand_bandwidth_now())
+        << "step " << step;
+    machine.advance(3e-3);
+    oracle.advance(3e-3);
+    ASSERT_NO_FATAL_FAILURE(assert_identical(machine, oracle, step));
+  }
+  ASSERT_FALSE(machine.workload_done());
+}
+
+TEST(SimRateCache, EveryDistinctJitteredOpMatchesDirectEvaluation) {
+  // The suite models' shape: jittered TIPIs make each segment its own
+  // op, so every segment boundary is a cold row.
+  MachineConfig cfg = haswell_2650v3();
+  cfg.power_noise_sigma = 0.02;
+  SplitMix64 rng(2024);
+  PhaseProgram program;
+  for (int i = 0; i < 400; ++i) {
+    const double slab = static_cast<double>(rng.next_below(30));
+    const double tipi = 0.004 * (slab + 0.2 + 0.6 * rng.next_double());
+    program.add(2e7 + 2e8 * rng.next_double(), 0.9, tipi);
+  }
+  ASSERT_EQ(program.ops().size(), program.segments().size());
+
+  SimMachine machine(cfg, program, 77);
+  OracleSim oracle(cfg, program, 77);
+  for (int step = 0; !machine.workload_done(); ++step) {
+    ASSERT_LT(step, 100000);
+    if (rng.next_below(4) == 0) {
+      const FreqMHz cf = cfg.core_ladder.at(static_cast<Level>(
+          rng.next_below(static_cast<uint64_t>(cfg.core_ladder.levels()))));
+      machine.set_core_frequency(cf);
+      oracle.set_core_frequency(cf);
+    }
+    if (rng.next_below(4) == 0) {
+      const FreqMHz uf = cfg.uncore_ladder.at(static_cast<Level>(
+          rng.next_below(static_cast<uint64_t>(cfg.uncore_ladder.levels()))));
+      machine.set_uncore_frequency(uf);
+      oracle.set_uncore_frequency(uf);
+    }
+    ASSERT_EQ(machine.demand_bandwidth_now(), oracle.demand_bandwidth_now())
+        << "step " << step;
+    ASSERT_EQ(machine.advance(1e-3), oracle.advance(1e-3)) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(assert_identical(machine, oracle, step));
+  }
+}
+
 TEST(SimRateCache, DemandBandwidthMatchesDirectEvaluation) {
   const MachineConfig cfg = haswell_2650v3();
   const PerfModel perf(cfg);
@@ -235,6 +337,82 @@ TEST(PhaseProgramOps, ScaleInstructionsPreservesOps) {
   EXPECT_EQ(program.segments()[0].op_index, 0u);
   EXPECT_EQ(program.segments()[1].op_index, 1u);
   EXPECT_EQ(program.total_instructions(), 5e9);
+}
+
+TEST(PhaseProgramInterning, IndicesFollowFirstSeenOrder) {
+  PhaseProgram program;
+  program.add(1e9, 1.3, 0.02)
+      .add(1e9, 1.0, 0.05)
+      .add(1e9, 1.3, 0.02)
+      .add(1e9, 0.8, 0.10)
+      .add(1e9, 1.0, 0.05);
+  const std::vector<uint32_t> expected{0, 1, 0, 2, 1};
+  ASSERT_EQ(program.segments().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(program.segments()[i].op_index, expected[i]) << "segment " << i;
+  }
+  ASSERT_EQ(program.ops().size(), 3u);
+  EXPECT_EQ(program.ops()[0].cpi0, 1.3);
+  EXPECT_EQ(program.ops()[1].cpi0, 1.0);
+  EXPECT_EQ(program.ops()[2].cpi0, 0.8);
+
+  // Many distinct ops: indices are dense and sequential.
+  PhaseProgram many;
+  for (int i = 0; i < 5000; ++i) many.add(1e6, 1.0, 1e-5 * i);
+  for (int i = 0; i < 5000; ++i) many.add(1e6, 1.0, 1e-5 * (4999 - i));
+  ASSERT_EQ(many.ops().size(), 5000u);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    EXPECT_EQ(many.segments()[i].op_index, i);
+    EXPECT_EQ(many.segments()[5000 + i].op_index, 4999 - i);
+  }
+}
+
+TEST(PhaseProgramInterning, SignedZeroTipisKeepSeparateIndices) {
+  PhaseProgram program;
+  program.add(1e9, 1.0, 0.0).add(1e9, 1.0, -0.0).add(1e9, 1.0, 0.0);
+  ASSERT_EQ(program.ops().size(), 2u);
+  EXPECT_EQ(program.segments()[0].op_index, 0u);
+  EXPECT_EQ(program.segments()[1].op_index, 1u);
+  EXPECT_EQ(program.segments()[2].op_index, 0u);
+  EXPECT_FALSE(std::signbit(program.ops()[0].tipi));
+  EXPECT_TRUE(std::signbit(program.ops()[1].tipi));
+}
+
+TEST(PhaseProgramInterning, CopiesAndMovesKeepDeduping) {
+  PhaseProgram original;
+  original.add(1e9, 1.0, 0.05).add(1e9, 1.2, 0.10);
+
+  PhaseProgram copy = original;
+  copy.add(1e9, 1.2, 0.10).add(1e9, 0.9, 0.01);
+  copy.repeat(3, original.segments());
+  EXPECT_EQ(copy.ops().size(), 3u);
+  EXPECT_EQ(copy.segments()[2].op_index, 1u);
+  EXPECT_EQ(copy.segments()[3].op_index, 2u);
+  for (size_t i = 4; i < copy.segments().size(); i += 2) {
+    EXPECT_EQ(copy.segments()[i].op_index, 0u);
+    EXPECT_EQ(copy.segments()[i + 1].op_index, 1u);
+  }
+  // The copy's additions never leak into the original.
+  original.add(1e9, 0.9, 0.01);
+  EXPECT_EQ(original.ops().size(), 3u);
+  EXPECT_EQ(original.segments()[2].op_index, 2u);
+
+  PhaseProgram moved = std::move(copy);
+  moved.add(1e9, 0.9, 0.01).add(1e9, 1.0, 0.05).add(1e9, 1.5, 0.2);
+  EXPECT_EQ(moved.ops().size(), 4u);
+  const size_t n = moved.segments().size();
+  EXPECT_EQ(moved.segments()[n - 3].op_index, 2u);
+  EXPECT_EQ(moved.segments()[n - 2].op_index, 0u);
+  EXPECT_EQ(moved.segments()[n - 1].op_index, 3u);
+
+  PhaseProgram assigned;
+  assigned.add(1e9, 2.0, 0.3);
+  assigned = moved;
+  assigned.repeat(2, moved.segments());
+  EXPECT_EQ(assigned.ops().size(), 4u);
+  assigned.add(1e9, 2.0, 0.3);
+  EXPECT_EQ(assigned.ops().size(), 5u);
+  EXPECT_EQ(assigned.segments().back().op_index, 4u);
 }
 
 TEST(PerfModelUtilization, GivenIpsIsBitIdenticalToRecompute) {
