@@ -26,53 +26,6 @@
 namespace cuttlefish {
 namespace {
 
-/// RealtimeSimPlatform that drives its own advance thread for the
-/// platform's whole lifetime, so the registry can hand it out as an
-/// ordinary backend.
-class SelfDrivingSimPlatform final : public hal::PlatformInterface {
- public:
-  SelfDrivingSimPlatform(const sim::MachineConfig& cfg,
-                         const sim::PhaseProgram& program, double rate)
-      : inner_(cfg, program, rate) {
-    inner_.start();
-  }
-  ~SelfDrivingSimPlatform() override { inner_.stop(); }
-
-  hal::CapabilitySet capabilities() const override {
-    return inner_.capabilities();
-  }
-  const FreqLadder& core_ladder() const override {
-    return inner_.core_ladder();
-  }
-  const FreqLadder& uncore_ladder() const override {
-    return inner_.uncore_ladder();
-  }
-  void set_core_frequency(FreqMHz f) override {
-    inner_.set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_.set_uncore_frequency(f);
-  }
-  FreqMHz core_frequency() const override { return inner_.core_frequency(); }
-  FreqMHz uncore_frequency() const override {
-    return inner_.uncore_frequency();
-  }
-  hal::SensorTotals read_sensors() override { return inner_.read_sensors(); }
-  hal::SensorSample read_sample() override { return inner_.read_sample(); }
-  hal::IoOutcome apply_core_frequency(FreqMHz f) override {
-    return inner_.apply_core_frequency(f);
-  }
-  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override {
-    return inner_.apply_uncore_frequency(f);
-  }
-  hal::SampleOutcome sample_sensors() override {
-    return inner_.sample_sensors();
-  }
-
- private:
-  exp::RealtimeSimPlatform inner_;
-};
-
 /// ~30 min of alternating compute-bound and memory-bound virtual phases —
 /// enough for interactive demos of the full discovery cycle.
 sim::PhaseProgram demo_program() {
@@ -105,8 +58,12 @@ void register_sim_backend() {
       return r;
     };
     f.create = []() -> std::unique_ptr<hal::PlatformInterface> {
-      return std::make_unique<SelfDrivingSimPlatform>(
+      // Advances on its own thread for the platform's whole lifetime;
+      // the destructor stops it.
+      auto platform = std::make_unique<exp::RealtimeSimPlatform>(
           sim::haswell_2650v3(), demo_program(), /*rate=*/1.0);
+      platform->start();
+      return platform;
     };
     hal::BackendRegistry::instance().add(std::move(f));
   });

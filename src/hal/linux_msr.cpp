@@ -142,10 +142,6 @@ SampleOutcome MsrSensorStack::sample() {
   return out;
 }
 
-SensorSample MsrSensorStack::read_sample() { return sample().sample; }
-
-SensorTotals MsrSensorStack::read() { return read_sample().totals(); }
-
 MsrCoreActuator::MsrCoreActuator(std::vector<MsrDevice*> devices,
                                  FreqLadder ladder)
     : devices_(std::move(devices)), ladder_(ladder), current_(ladder.max()) {}
@@ -185,75 +181,46 @@ bool LinuxMsrPlatform::available() {
   return probe.read(msr::kRaplPowerUnit, unit);
 }
 
-LinuxMsrPlatform::LinuxMsrPlatform(FreqLadder core, FreqLadder uncore)
-    : core_ladder_(core), uncore_ladder_(uncore) {
+namespace detail {
+
+LinuxMsrParts::LinuxMsrParts(const FreqLadder& core_ladder,
+                             const FreqLadder& uncore_ladder) {
   const int cpus = online_cpu_count();
   for (int cpu = 0; cpu < cpus; ++cpu) {
     auto dev = std::make_unique<LinuxMsrDevice>(cpu);
     if (!dev->ok()) break;
-    devices_.push_back(std::move(dev));
+    devices.push_back(std::move(dev));
   }
-  if (devices_.empty()) {
+  if (devices.empty()) {
     CF_LOG_WARN("LinuxMsrPlatform: no usable /dev/cpu/*/msr devices");
     return;
   }
-  LinuxMsrDevice& pkg = *devices_[0];
-  sensors_ = std::make_unique<MsrSensorStack>(pkg);
-  caps_ = sensors_->capabilities();
-  if (!caps_.has(Capability::kEnergySensor)) {
+  LinuxMsrDevice& pkg = *devices[0];
+  sensors = std::make_unique<MsrSensorStack>(pkg);
+  if (!sensors->capabilities().has(Capability::kEnergySensor)) {
     CF_LOG_WARN("LinuxMsrPlatform: cannot read MSR_RAPL_POWER_UNIT");
     return;
   }
   if (pkg.writable()) {
     std::vector<MsrDevice*> all;
-    all.reserve(devices_.size());
-    for (auto& dev : devices_) all.push_back(dev.get());
-    core_ = std::make_unique<MsrCoreActuator>(std::move(all), core_ladder_);
-    uncore_ = std::make_unique<MsrUncoreActuator>(pkg, uncore_ladder_);
-    caps_ = caps_.with(Capability::kCoreDvfs).with(Capability::kUncoreUfs);
+    all.reserve(devices.size());
+    for (auto& dev : devices) all.push_back(dev.get());
+    core = std::make_unique<MsrCoreActuator>(std::move(all), core_ladder);
+    uncore = std::make_unique<MsrUncoreActuator>(pkg, uncore_ladder);
   } else {
     CF_LOG_WARN(
         "LinuxMsrPlatform: MSR devices are read-only (msr-safe write "
         "allowlist?); running sensor-only");
   }
-  ok_ = true;
+  usable = true;
 }
 
-void LinuxMsrPlatform::set_core_frequency(FreqMHz f) {
-  (void)apply_core_frequency(f);
-}
+}  // namespace detail
 
-void LinuxMsrPlatform::set_uncore_frequency(FreqMHz f) {
-  (void)apply_uncore_frequency(f);
-}
-
-IoOutcome LinuxMsrPlatform::apply_core_frequency(FreqMHz f) {
-  return core_ ? core_->apply(f) : IoOutcome::unsupported();
-}
-
-IoOutcome LinuxMsrPlatform::apply_uncore_frequency(FreqMHz f) {
-  return uncore_ ? uncore_->apply(f) : IoOutcome::unsupported();
-}
-
-SampleOutcome LinuxMsrPlatform::sample_sensors() {
-  return sensors_ ? sensors_->sample()
-                  : SampleOutcome{SensorSample{}, IoOutcome::unsupported()};
-}
-
-FreqMHz LinuxMsrPlatform::core_frequency() const {
-  return core_ ? core_->current() : core_ladder_.max();
-}
-
-FreqMHz LinuxMsrPlatform::uncore_frequency() const {
-  return uncore_ ? uncore_->current() : uncore_ladder_.max();
-}
-
-SensorTotals LinuxMsrPlatform::read_sensors() {
-  return sample_sensors().sample.totals();
-}
-
-SensorSample LinuxMsrPlatform::read_sample() {
-  return sample_sensors().sample;
-}
+LinuxMsrPlatform::LinuxMsrPlatform(FreqLadder core_ladder,
+                                   FreqLadder uncore_ladder)
+    : LinuxMsrParts(core_ladder, uncore_ladder),
+      ComposedPlatform(std::move(sensors), std::move(core), std::move(uncore),
+                       core_ladder, uncore_ladder) {}
 
 }  // namespace cuttlefish::hal

@@ -17,12 +17,12 @@ struct SensorTotals {
   double energy_joules = 0.0;  // unwrapped by the backend
 };
 
-/// One batched reading of every counter a backend supplies — the
-/// single-virtual-call fast path of the per-Tinv control loop. Superset
-/// of SensorTotals: backends with NUMA-split TOR counters (the sim's
-/// MISS_LOCAL / MISS_REMOTE umasks) report the shares separately;
-/// backends with only an aggregate report it all under tor_local. Fields
-/// whose sensor capability is absent stay at their zero value.
+/// One batched reading of every counter a backend supplies — the one
+/// sensor read of the per-Tinv control loop. Superset of SensorTotals:
+/// backends with NUMA-split TOR counters (the sim's MISS_LOCAL /
+/// MISS_REMOTE umasks) report the shares separately; backends with only
+/// an aggregate report it all under tor_local. Fields whose sensor
+/// capability is absent stay at their zero value.
 struct SensorSample {
   uint64_t instructions = 0;
   uint64_t tor_local = 0;
@@ -32,9 +32,6 @@ struct SensorSample {
   uint64_t tor_inserts() const { return tor_local + tor_remote; }
   SensorTotals totals() const {
     return SensorTotals{instructions, tor_inserts(), energy_joules};
-  }
-  static SensorSample from_totals(const SensorTotals& t) {
-    return SensorSample{t.instructions, t.tor_inserts, 0, t.energy_joules};
   }
 };
 
@@ -101,46 +98,38 @@ class PlatformInterface {
 
   virtual const FreqLadder& core_ladder() const = 0;
   virtual const FreqLadder& uncore_ladder() const = 0;
-
-  /// Set the DVFS target of every core (the paper scales all 20 cores
-  /// together) / pin the uncore via min==max ratio limits.
-  virtual void set_core_frequency(FreqMHz f) = 0;
-  virtual void set_uncore_frequency(FreqMHz f) = 0;
   virtual FreqMHz core_frequency() const = 0;
   virtual FreqMHz uncore_frequency() const = 0;
 
-  virtual SensorTotals read_sensors() = 0;
-
   /// Batched sampling: every counter in one virtual call, the read the
-  /// controller issues once per tick. The default adapts read_sensors()
-  /// so existing third-party platforms keep working unchanged; the
-  /// built-in backends override it with one-pass reads (the simulator
-  /// skips its per-register MSR round trips, the MSR backend batches its
-  /// preads) — see docs/ARCHITECTURE.md "The co-simulation hot path".
-  virtual SensorSample read_sample() {
-    return SensorSample::from_totals(read_sensors());
-  }
+  /// controller issues once per tick, with whether the device I/O
+  /// succeeded (docs/FAULTS.md). On failure the sample carries the
+  /// backend's best effort; see SampleOutcome.
+  virtual SampleOutcome sample_sensors() = 0;
 
-  // ---- error-aware contract (fault tolerance, docs/FAULTS.md) ----------
+  /// Set the DVFS target of every core (the paper scales all 20 cores
+  /// together) / pin the uncore via min==max ratio limits. At most one
+  /// write per changed domain per tick; a domain whose capability is
+  /// absent reports IoOutcome::unsupported().
+  virtual IoOutcome apply_core_frequency(FreqMHz f) = 0;
+  virtual IoOutcome apply_uncore_frequency(FreqMHz f) = 0;
+
+  // ---- convenience forms, derived from the three above -----------------
   //
-  // The outcome-returning forms are what the controller actually calls:
-  // one batched sensor read and one write per changed domain per tick,
-  // each reporting success/unsupported/error instead of warn-and-forget.
-  // The defaults adapt the legacy virtuals so third-party platforms keep
-  // working unchanged (their operations simply always report success);
-  // the built-in backends override these with their real outcomes and
-  // implement the void forms on top, so neither path recurses.
+  // Backends implement only the outcome forms. These stay virtual so
+  // pass-through instrumentation (the benchmark's span-recording
+  // TimedPlatform) can keep overriding them. The one library override is
+  // sim::SimPlatform::read_sensors(), its MSR-register reference path.
 
-  virtual IoOutcome apply_core_frequency(FreqMHz f) {
-    set_core_frequency(f);
-    return IoOutcome::success();
+  virtual SensorSample read_sample() { return sample_sensors().sample; }
+  virtual SensorTotals read_sensors() {
+    return sample_sensors().sample.totals();
   }
-  virtual IoOutcome apply_uncore_frequency(FreqMHz f) {
-    set_uncore_frequency(f);
-    return IoOutcome::success();
+  virtual void set_core_frequency(FreqMHz f) {
+    (void)apply_core_frequency(f);
   }
-  virtual SampleOutcome sample_sensors() {
-    return SampleOutcome{read_sample(), IoOutcome::success()};
+  virtual void set_uncore_frequency(FreqMHz f) {
+    (void)apply_uncore_frequency(f);
   }
 };
 

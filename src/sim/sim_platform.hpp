@@ -9,11 +9,12 @@ namespace cuttlefish::sim {
 /// read_sensors() paths deliberately go through the MSR register map and
 /// the shared hal codecs (rather than poking the machine object directly)
 /// so the exact code paths of the real-hardware backend — including RAPL
-/// unit decoding and 32-bit wrap handling — stay exercised. The batched
-/// read_sample() override is the per-tick fast path: one pass over the
-/// machine's counters with no MsrDevice round trips, but the same RAPL
-/// quantisation (SimMachine::rapl_energy_raw is shared with the register
-/// map), so both paths report bit-identical values.
+/// unit decoding and 32-bit wrap handling — stay exercised; read_sensors()
+/// is kept as the reference the batched path is tested against.
+/// sample_sensors() is the per-tick path: one pass over the machine's
+/// counters with no MsrDevice round trips, but the same RAPL quantisation
+/// (SimMachine::rapl_energy_raw is shared with the register map), so both
+/// paths report bit-identical values.
 class SimPlatform final : public hal::PlatformInterface {
  public:
   explicit SimPlatform(SimMachine& machine);
@@ -28,13 +29,16 @@ class SimPlatform final : public hal::PlatformInterface {
   const FreqLadder& core_ladder() const override;
   const FreqLadder& uncore_ladder() const override;
 
-  void set_core_frequency(FreqMHz f) override;
-  void set_uncore_frequency(FreqMHz f) override;
   FreqMHz core_frequency() const override;
   FreqMHz uncore_frequency() const override;
 
+  /// Always succeed: a rejected register write is a simulator bug and
+  /// asserts instead.
+  hal::SampleOutcome sample_sensors() override;
+  hal::IoOutcome apply_core_frequency(FreqMHz f) override;
+  hal::IoOutcome apply_uncore_frequency(FreqMHz f) override;
+
   hal::SensorTotals read_sensors() override;
-  hal::SensorSample read_sample() override;
 
  private:
   /// Shared by both read paths: unwrap the 32-bit RAPL counter into the

@@ -11,6 +11,7 @@
 #include "exp/cotenant.hpp"
 #include "exp/driver.hpp"
 #include "hal/arbitrated.hpp"
+#include "hal/fault_injection.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
 #include "sim/sim_machine.hpp"
@@ -202,6 +203,42 @@ TEST(ArbitratedPlatformTest, HeadroomIsByteIdenticalPassthrough) {
   EXPECT_FALSE(ap.grant().capped);
   hal::ArbitratedPlatform::GrantChange change;
   EXPECT_FALSE(ap.poll_grant_change(&change));
+}
+
+TEST(ArbitratedPlatformTest, FailedReadPublishesNothingOnAnyReadForm) {
+  // read_sample() and read_sensors() take the sample_sensors() path: a
+  // failed read keeps the previous demand standing, so the slot's tick
+  // never moves.
+  SimRig rig;
+  hal::FaultInjectionPlatform faulty(
+      rig.platform, hal::FaultSchedule::persistent_sensor_failure());
+  LocalArbiter arb(ArbiterConfig{100.0, SharePolicy::kEqualShare}, 4);
+  hal::ArbitratedPlatform ap(faulty, arb, 0.02);
+  for (int i = 0; i < 3; ++i) {
+    rig.machine.advance(0.02);
+    (void)ap.read_sample();
+    (void)ap.read_sensors();
+    EXPECT_TRUE(ap.sample_sensors().io.failed());
+  }
+  const auto view = arb.view();
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view[0].tick, 0u);
+}
+
+TEST(ArbitratedPlatformTest, EveryReadFormPublishesDemand) {
+  SimRig rig;
+  LocalArbiter arb(ArbiterConfig{100.0, SharePolicy::kEqualShare}, 4);
+  hal::ArbitratedPlatform ap(rig.platform, arb, 0.02);
+  rig.machine.advance(0.02);
+  (void)ap.read_sample();
+  rig.machine.advance(0.02);
+  (void)ap.read_sensors();
+  rig.machine.advance(0.02);
+  (void)ap.sample_sensors();
+  const auto view = arb.view();
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view[0].tick, 3u);
+  EXPECT_GT(view[0].demand.watts, 0.0);
 }
 
 // ---- driver + co-tenant wiring -----------------------------------------

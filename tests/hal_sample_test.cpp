@@ -1,8 +1,10 @@
-// The batched-sampling contract: read_sample() — the one-virtual-call
-// fast path — must report exactly what the legacy per-counter
-// read_sensors()/read() path reports, on full stacks and on every
-// CapabilityFilter-degraded subset, whether a backend overrides the fast
-// path (sim, MSR, powercap) or inherits the adapting default.
+// The batched-sampling contract: sample_sensors() — the one sensor
+// virtual a backend implements — must report exactly what the
+// simulator's MSR-register reference path read_sensors() reports, on
+// full stacks and on every CapabilityFilter-degraded subset, and the
+// convenience forms (read_sample, read_sensors, set_*_frequency) must
+// derive from the outcome forms on a backend that implements nothing
+// else.
 
 #include <gtest/gtest.h>
 
@@ -26,35 +28,39 @@ sim::PhaseProgram long_program() {
   return p;
 }
 
-/// Forwards read_sensors() but deliberately does NOT override
-/// read_sample(): exercises the PlatformInterface default adapter a
-/// third-party backend would inherit.
-class NoOverridePlatform final : public PlatformInterface {
+/// A backend implementing only the pure virtuals: a scripted sample and
+/// a log of the writes that reached apply_*.
+class MinimalPlatform final : public PlatformInterface {
  public:
-  explicit NoOverridePlatform(PlatformInterface& inner) : inner_(&inner) {}
-  CapabilitySet capabilities() const override {
-    return inner_->capabilities();
+  const FreqLadder& core_ladder() const override { return core_; }
+  const FreqLadder& uncore_ladder() const override { return uncore_; }
+  FreqMHz core_frequency() const override { return cf_; }
+  FreqMHz uncore_frequency() const override { return uf_; }
+  SampleOutcome sample_sensors() override {
+    ++samples;
+    return SampleOutcome{next, IoOutcome::success()};
   }
-  const FreqLadder& core_ladder() const override {
-    return inner_->core_ladder();
+  IoOutcome apply_core_frequency(FreqMHz f) override {
+    cf_ = f;
+    ++core_writes;
+    return IoOutcome::success();
   }
-  const FreqLadder& uncore_ladder() const override {
-    return inner_->uncore_ladder();
+  IoOutcome apply_uncore_frequency(FreqMHz f) override {
+    uf_ = f;
+    ++uncore_writes;
+    return IoOutcome::success();
   }
-  void set_core_frequency(FreqMHz f) override {
-    inner_->set_core_frequency(f);
-  }
-  void set_uncore_frequency(FreqMHz f) override {
-    inner_->set_uncore_frequency(f);
-  }
-  FreqMHz core_frequency() const override { return inner_->core_frequency(); }
-  FreqMHz uncore_frequency() const override {
-    return inner_->uncore_frequency();
-  }
-  SensorTotals read_sensors() override { return inner_->read_sensors(); }
+
+  SensorSample next{};
+  int samples = 0;
+  int core_writes = 0;
+  int uncore_writes = 0;
 
  private:
-  PlatformInterface* inner_;
+  FreqLadder core_ = haswell_core_ladder();
+  FreqLadder uncore_ = haswell_uncore_ladder();
+  FreqMHz cf_{2300};
+  FreqMHz uf_{3000};
 };
 
 void expect_equal_totals(const SensorSample& sample,
@@ -64,7 +70,7 @@ void expect_equal_totals(const SensorSample& sample,
   EXPECT_EQ(sample.energy_joules, totals.energy_joules);
 }
 
-TEST(SensorSampleHal, SimOverrideMatchesRegisterPathExactly) {
+TEST(SensorSampleHal, SimBatchedSampleMatchesRegisterPathExactly) {
   const sim::MachineConfig cfg = sim::haswell_2650v3();
   const sim::PhaseProgram program = long_program();
   sim::SimMachine machine(cfg, program);
@@ -72,38 +78,40 @@ TEST(SensorSampleHal, SimOverrideMatchesRegisterPathExactly) {
 
   for (int i = 0; i < 50; ++i) {
     machine.advance(0.02);
-    // Back-to-back fast-path and register-path reads see the same raw
+    // Back-to-back batched and register-path reads see the same raw
     // counter, so the shared unwrap state must make them bit-equal.
-    const SensorSample sample = platform.read_sample();
+    const SampleOutcome out = platform.sample_sensors();
+    EXPECT_TRUE(out.io.ok());
     const SensorTotals totals = platform.read_sensors();
-    expect_equal_totals(sample, totals);
+    expect_equal_totals(out.sample, totals);
     // The sim splits TOR by NUMA umask; the split must conserve the sum.
-    EXPECT_EQ(sample.tor_local + sample.tor_remote, totals.tor_inserts);
+    EXPECT_EQ(out.sample.tor_local + out.sample.tor_remote,
+              totals.tor_inserts);
   }
 }
 
-TEST(SensorSampleHal, DefaultAdapterMatchesOverride) {
-  const sim::MachineConfig cfg = sim::haswell_2650v3();
-  const sim::PhaseProgram pa = long_program();
-  const sim::PhaseProgram pb = long_program();
-  sim::SimMachine ma(cfg, pa, 42);
-  sim::SimMachine mb(cfg, pb, 42);
-  sim::SimPlatform overriding(ma);
-  sim::SimPlatform inner(mb);
-  NoOverridePlatform defaulted(inner);
+TEST(SensorSampleHal, ConvenienceFormsDeriveFromOutcomeForms) {
+  MinimalPlatform platform;
+  platform.next = SensorSample{1000, 70, 30, 2.5};
 
-  for (int i = 0; i < 50; ++i) {
-    ma.advance(0.02);
-    mb.advance(0.02);
-    const SensorSample fast = overriding.read_sample();
-    const SensorSample adapted = defaulted.read_sample();
-    EXPECT_EQ(fast.instructions, adapted.instructions);
-    EXPECT_EQ(fast.tor_inserts(), adapted.tor_inserts());
-    EXPECT_EQ(fast.energy_joules, adapted.energy_joules);
-    // The adapter has no split information: everything lands in
-    // tor_local by contract.
-    EXPECT_EQ(adapted.tor_remote, 0u);
-  }
+  const SensorSample sample = platform.read_sample();
+  EXPECT_EQ(platform.samples, 1);
+  EXPECT_EQ(sample.instructions, 1000u);
+  EXPECT_EQ(sample.tor_local, 70u);
+  EXPECT_EQ(sample.tor_remote, 30u);
+  EXPECT_EQ(sample.energy_joules, 2.5);
+
+  const SensorTotals totals = platform.read_sensors();
+  EXPECT_EQ(platform.samples, 2);
+  expect_equal_totals(platform.sample_sensors().sample, totals);
+
+  platform.set_core_frequency(FreqMHz{1800});
+  EXPECT_EQ(platform.core_writes, 1);
+  EXPECT_EQ(platform.core_frequency(), FreqMHz{1800});
+  platform.set_uncore_frequency(FreqMHz{2000});
+  EXPECT_EQ(platform.uncore_writes, 1);
+  EXPECT_EQ(platform.uncore_frequency(), FreqMHz{2000});
+  EXPECT_EQ(platform.core_writes, 1);
 }
 
 TEST(SensorSampleHal, CapabilityFilterMasksSampleAndTotalsAlike) {
@@ -123,18 +131,14 @@ TEST(SensorSampleHal, CapabilityFilterMasksSampleAndTotalsAlike) {
     sim::SimMachine mb(cfg, pb, 7);
     sim::SimPlatform platform_a(ma);
     sim::SimPlatform platform_b(mb);
-    CapabilityFilter fast(platform_a, allowed);
-    NoOverridePlatform no_override(platform_b);
-    CapabilityFilter adapted(no_override, allowed);
+    CapabilityFilter batched(platform_a, allowed);
+    CapabilityFilter totals_path(platform_b, allowed);
 
     for (int i = 0; i < 20; ++i) {
       ma.advance(0.02);
       mb.advance(0.02);
-      const SensorSample a = fast.read_sample();
-      const SensorSample b = adapted.read_sample();
-      EXPECT_EQ(a.instructions, b.instructions);
-      EXPECT_EQ(a.tor_inserts(), b.tor_inserts());
-      EXPECT_EQ(a.energy_joules, b.energy_joules);
+      const SensorSample a = batched.sample_sensors().sample;
+      expect_equal_totals(a, totals_path.read_sensors());
       if (!allowed.has(Capability::kEnergySensor)) {
         EXPECT_EQ(a.energy_joules, 0.0);
       }
@@ -179,30 +183,22 @@ TEST(SensorSampleHal, MsrStackSamplesInOnePassOfThreeReads) {
 
   machine.advance(0.5);
   device.reads = 0;
-  const SensorSample sample = stack.read_sample();
+  const SampleOutcome out = stack.sample();
+  EXPECT_TRUE(out.io.ok());
   EXPECT_EQ(device.reads, 3);  // energy + instructions + TOR, one pass
-  EXPECT_GT(sample.instructions, 0u);
-  EXPECT_GT(sample.tor_inserts(), 0u);
-  EXPECT_GT(sample.energy_joules, 0.0);
-
-  // The legacy read() is the same pass.
-  machine.advance(0.5);
-  device.reads = 0;
-  const SensorTotals totals = stack.read();
-  EXPECT_EQ(device.reads, 3);
-  const SensorSample again = stack.read_sample();
-  expect_equal_totals(again, totals);
+  EXPECT_GT(out.sample.instructions, 0u);
+  EXPECT_GT(out.sample.tor_inserts(), 0u);
+  EXPECT_GT(out.sample.energy_joules, 0.0);
 }
 
-TEST(SensorSampleHal, PowercapSampleMatchesRead) {
-  // Nonexistent root: unavailable stack reads zeros through both paths.
+TEST(SensorSampleHal, UnavailablePowercapSamplesZeros) {
   PowercapSensorStack stack("/nonexistent/cuttlefish/powercap");
   EXPECT_FALSE(stack.available());
-  const SensorSample sample = stack.read_sample();
-  EXPECT_EQ(sample.instructions, 0u);
-  EXPECT_EQ(sample.tor_inserts(), 0u);
-  EXPECT_EQ(sample.energy_joules, 0.0);
-  expect_equal_totals(stack.read_sample(), stack.read());
+  const SampleOutcome out = stack.sample();
+  EXPECT_TRUE(out.io.ok());
+  EXPECT_EQ(out.sample.instructions, 0u);
+  EXPECT_EQ(out.sample.tor_inserts(), 0u);
+  EXPECT_EQ(out.sample.energy_joules, 0.0);
 }
 
 }  // namespace
