@@ -30,7 +30,8 @@
 //                    (forked workers, journaled resume, poison-spec
 //                    quarantine)
 //   --journal DIR    journal directory for --supervised (resume = rerun
-//                    with the same flags and the same DIR)
+//                    with the same flags and the same DIR) or for a
+//                    --shard i/N leg (micro_sweep)
 //   --crash-at SPEC  deterministic worker self-kill directive
 //                    <spec-index>:<abort|kill|hang|exit>[:times]
 //   --attempts K     worker launches before a spec is quarantined

@@ -26,12 +26,14 @@
 // uncached serial table. CF_BENCH_GATE=1 requires the warm re-run to be
 // >= 20x faster than cold (and keeps the 2x-vs-baseline throughput gate).
 //
-// --shard i/N + --table-out FILE runs only the grid cells shard i owns
-// and writes them as a partial result table; --merge FILE... (repeated,
-// glob patterns accepted; a pattern matching nothing is an error) loads N
-// such tables, reassembles the full result vector, and reports
-// merged_digest — byte-identical to a single-process serial_digest, which
-// CI asserts. Gates are same-host tools, not for shared CI boxes.
+// --shard i/N runs only the grid cells shard i owns and appends them to
+// the sweep journal in --journal DIR (default
+// BENCH_sweep.shard<i>-of-<N>.journal), pinned to the grid and to i/N;
+// --merge DIR|FILE... (repeated, glob patterns accepted; a pattern
+// matching nothing is an error) unions N such journals exactly once,
+// reassembles the full result vector, and reports merged_digest —
+// byte-identical to a single-process serial_digest, which CI asserts.
+// Gates are same-host tools, not for shared CI boxes.
 //
 // --supervised runs the grid under the process-level sweep supervisor
 // (docs/SUPERVISOR.md): forked workers, journaled resume, poison-spec
@@ -220,8 +222,9 @@ int fail_usage(const char* prog, const std::string& msg) {
   std::fprintf(stderr, "%s: %s\n", prog, msg.c_str());
   std::fprintf(stderr,
                "usage: %s [--baseline FILE] [--cache-dir DIR] "
-               "[--table-out FILE] [--merge FILE|GLOB]... "
+               "[--merge DIR|FILE|GLOB]... "
                "[--faults transient:SEED|persistent|chaos:SEED] "
+               "[--shard i/N [--journal DIR]] "
                "[--supervised [--journal DIR] [--crash-at I:MODE[:TIMES]] "
                "[--attempts K] [--spec-timeout S] [--sweep-timeout S]] "
                "[bench flags]\n",
@@ -445,37 +448,46 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   return 0;
 }
 
-/// Shard mode: run only the owned subset, write the partial table, done.
+/// Shard mode: run only the owned subset and journal it, done.
 /// Deliberately no JSON/baseline machinery — the merged run owns those.
-int run_shard_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& args,
-                   std::string table_out) {
-  if (table_out.empty()) {
-    table_out = "BENCH_sweep.shard" + std::to_string(args.shard_index) +
-                "-of-" + std::to_string(args.shard_count) + ".tbl";
+int run_shard_mode(const exp::SweepGrid& grid,
+                   const benchharness::BenchArgs& args) {
+  const std::string journal_dir =
+      args.journal_dir.empty()
+          ? "BENCH_sweep.shard" + std::to_string(args.shard_index) + "-of-" +
+                std::to_string(args.shard_count) + ".journal"
+          : args.journal_dir;
+  std::string error;
+  // An empty append creates the journal, or checks an existing one's pin,
+  // before any simulation time is spent.
+  if (!exp::append_shard_journal(grid, journal_dir, args.shard_index,
+                                 args.shard_count, {}, &error)) {
+    std::fprintf(stderr, "micro_sweep: %s\n", error.c_str());
+    return 2;
   }
   std::unique_ptr<runtime::TaskScheduler> scheduler;
   if (args.workers > 1) {
     scheduler = std::make_unique<runtime::TaskScheduler>(args.workers);
   }
   const double t0 = now_s();
-  exp::ShardTable table;
-  table.grid_size = grid.size();
-  table.shard_index = args.shard_index;
-  table.shard_count = args.shard_count;
-  table.rows = exp::run_sweep_shard(grid, args.shard_index, args.shard_count,
-                                    scheduler.get());
+  const auto rows = exp::run_sweep_shard(grid, args.shard_index,
+                                         args.shard_count, scheduler.get());
   const double wall = now_s() - t0;
-  if (!exp::save_shard_table(table_out, table)) return 1;
+  if (!exp::append_shard_journal(grid, journal_dir, args.shard_index,
+                                 args.shard_count, rows, &error)) {
+    std::fprintf(stderr, "micro_sweep: %s\n", error.c_str());
+    return 1;
+  }
   double virt = 0.0;
-  for (const auto& [idx, r] : table.rows) virt += r.time_s;
+  for (const auto& [idx, r] : rows) virt += r.time_s;
   std::printf("  shard %d/%d: %zu of %zu co-simulations, %7.3fs wall, "
-              "%8.1f virtual s/s -> %s\n",
-              args.shard_index, args.shard_count, table.rows.size(),
-              grid.size(), wall, virt / wall, table_out.c_str());
+              "%8.1f virtual s/s -> %s/%s\n",
+              args.shard_index, args.shard_count, rows.size(), grid.size(),
+              wall, virt / wall, journal_dir.c_str(), exp::kJournalFileName);
   return 0;
 }
 
-/// Merge mode: no simulation at all — load the N partial tables,
+/// Merge mode: no simulation at all — union the N shard journals,
 /// reassemble the full result vector, and report the digest of the merged
 /// table (byte-identical to a single-process run's serial_digest; CI
 /// asserts exactly that).
@@ -485,7 +497,7 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
                    const std::string& json_out) {
   // Every --merge value may be a literal path or a glob pattern. A
   // pattern that matches nothing is an error, not an empty contribution:
-  // a fleet recipe whose `--merge 'out/*.tbl'` glob finds no files must
+  // a fleet recipe whose `--merge 'out/s*'` glob finds no journals must
   // fail here rather than "succeed" after merging nothing.
   std::vector<std::string> expanded;
   for (const auto& pattern : merge_paths) {
@@ -494,7 +506,7 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
     if (rc == GLOB_NOMATCH || (rc == 0 && g.gl_pathc == 0)) {
       ::globfree(&g);
       std::fprintf(stderr,
-                   "micro_sweep: --merge '%s' matched no shard files\n",
+                   "micro_sweep: --merge '%s' matched no journals\n",
                    pattern.c_str());
       return 2;
     }
@@ -509,36 +521,15 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
     }
     ::globfree(&g);
   }
-  std::vector<exp::ShardTable> tables;
-  for (const auto& path : expanded) {
-    exp::ShardTable table;
-    std::string error;
-    if (!exp::load_shard_table(path, &table, &error)) {
-      std::fprintf(stderr, "micro_sweep: %s: %s\n", path.c_str(),
-                   error.c_str());
-      return 2;
-    }
-    if (table.grid_size != grid.size()) {
-      std::fprintf(stderr,
-                   "micro_sweep: %s covers a %" PRIu64
-                   "-cell grid but the current flags build %zu cells — "
-                   "rerun with the --runs/--seeds the shards used\n",
-                   path.c_str(), table.grid_size, grid.size());
-      return 2;
-    }
-    std::printf("  loaded %s: shard %d/%d, %zu rows\n", path.c_str(),
-                table.shard_index, table.shard_count, table.rows.size());
-    tables.push_back(std::move(table));
-  }
   std::string error;
-  const auto merged = exp::merge_shard_tables(tables, &error);
+  const auto merged = exp::merge_journals(grid, expanded, &error);
   if (!merged) {
     std::fprintf(stderr, "micro_sweep: merge failed: %s\n", error.c_str());
     return 1;
   }
   const std::string merged_hex = digest_hex(digest(grid, *merged));
-  std::printf("  merged %zu tables -> %zu results, digest %s\n",
-              tables.size(), merged->size(), merged_hex.c_str());
+  std::printf("  merged %zu journals -> %zu results, digest %s\n",
+              expanded.size(), merged->size(), merged_hex.c_str());
 
   benchharness::JsonWriter json;
   json.field("grid_points", static_cast<int64_t>(grid.points().size()));
@@ -546,7 +537,7 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
   json.field("seeds_per_point", args.runs);
   json.field("seed_base", static_cast<int64_t>(shape.seed0));
   json.field("smoke", shape.smoke);
-  json.field("shard_count", tables.empty() ? 0 : tables.front().shard_count);
+  json.field("merged_journals", static_cast<int64_t>(expanded.size()));
   json.field("merged_digest", merged_hex);
   json.field("virtual_seconds", virtual_seconds(*merged), 3);
   json.write(json_out);
@@ -557,11 +548,10 @@ int run_merge_mode(const exp::SweepGrid& grid, const benchharness::BenchArgs& ar
 
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("CF_BENCH_SMOKE") != nullptr;
-  // --baseline/--cache-dir/--table-out/--merge are this bench's own
+  // --baseline/--cache-dir/--faults/--merge are this bench's own
   // flags; strip them before the shared parser sees the rest.
   std::string baseline_path;
   std::string cache_dir;
-  std::string table_out;
   std::string faults_spec;
   std::vector<std::string> merge_paths;
   std::vector<char*> filtered{argv, argv + argc};
@@ -570,7 +560,6 @@ int main(int argc, char** argv) {
     std::string* dest = nullptr;
     if (arg == "--baseline") dest = &baseline_path;
     if (arg == "--cache-dir") dest = &cache_dir;
-    if (arg == "--table-out") dest = &table_out;
     if (arg == "--faults") dest = &faults_spec;
     if (dest == nullptr && arg != "--merge") {
       ++i;
@@ -603,17 +592,18 @@ int main(int argc, char** argv) {
   if (!merge_paths.empty() && args.shard_count > 1) {
     return fail_usage(argv[0],
                       "--merge and --shard are mutually exclusive (shards "
-                      "produce tables; the merge consumes them)");
+                      "produce journals; the merge consumes them)");
   }
-  if (!table_out.empty() && args.shard_count <= 1) {
-    return fail_usage(argv[0], "--table-out requires --shard i/N");
+  if (!args.supervised && args.shard_count <= 1 &&
+      !args.journal_dir.empty()) {
+    return fail_usage(argv[0], "--journal requires --supervised or --shard");
   }
   if (!args.supervised &&
-      (!args.journal_dir.empty() || !args.crash_at.empty() ||
-       args.spec_timeout_s > 0 || args.sweep_timeout_s > 0)) {
+      (!args.crash_at.empty() || args.spec_timeout_s > 0 ||
+       args.sweep_timeout_s > 0)) {
     return fail_usage(argv[0],
-                      "--journal/--crash-at/--spec-timeout/--sweep-timeout "
-                      "require --supervised");
+                      "--crash-at/--spec-timeout/--sweep-timeout require "
+                      "--supervised");
   }
   if (args.supervised &&
       (args.shard_count > 1 || !merge_paths.empty() || !cache_dir.empty() ||
@@ -641,7 +631,7 @@ int main(int argc, char** argv) {
   if (args.supervised) {
     return run_supervised_mode(grid, args, shape, argv[0]);
   }
-  if (args.shard_count > 1) return run_shard_mode(grid, args, table_out);
+  if (args.shard_count > 1) return run_shard_mode(grid, args);
   if (!merge_paths.empty()) {
     return run_merge_mode(grid, args, shape, merge_paths, args.json_out);
   }

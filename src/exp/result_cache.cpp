@@ -1,7 +1,5 @@
 #include "exp/result_cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -10,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_log.hpp"
 
 namespace fs = std::filesystem;
 
@@ -19,56 +18,8 @@ namespace {
 
 constexpr uint32_t kResultMagic = 0x43465252u;  // "CFRR"
 constexpr uint32_t kResultFormatVersion = 1;
-constexpr uint32_t kShardMagic = 0x43465348u;  // "CFSH"
-constexpr uint32_t kShardFormatVersion = 1;
-constexpr uint32_t kRecordMagic = 0x43465243u;  // "CFRC"
-constexpr uint32_t kTableMagic = 0x43465442u;  // "CFTB"
-constexpr uint32_t kTableFormatVersion = 1;
-
-/// Fixed part of a record after its magic: digest (16) + two lengths.
-constexpr size_t kRecordHeader = 16 + 4 + 4;
-
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Write-temp-then-rename: the destination either keeps its old content
-/// or atomically gains the complete new one — never a torn prefix.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("result cache: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("result cache: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("result cache: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
+/// Cache record payload: digest (16) | u32 spec length | spec | result.
+constexpr size_t kRecordPrefix = 16 + 4;
 
 }  // namespace
 
@@ -184,64 +135,44 @@ void ResultCache::scan_all() {
 }
 
 void ResultCache::scan_shard(const std::string& path) {
-  std::string data;
-  if (!read_file(path, &data)) {
-    CF_LOG_WARN("result cache: cannot read shard %s; ignoring", path.c_str());
-    ++skipped_records_;
-    return;
-  }
-  BlobReader header(data.data(), data.size());
-  if (header.u32() != kShardMagic ||
-      header.u32() != kShardFormatVersion) {
-    CF_LOG_WARN("result cache: %s is not a v%u shard; ignoring",
-                path.c_str(), kShardFormatVersion);
+  const LogScan scan = scan_log(path, LogKind::kCacheShard, 0);
+  if (!scan.valid) {
+    CF_LOG_WARN("result cache: %s; ignoring the shard", scan.error.c_str());
     ++skipped_records_;
     return;
   }
   const size_t shard_index = shard_paths_.size();
   shard_paths_.push_back(path);
-
-  size_t pos = 8;  // past the header
-  while (pos < data.size()) {
-    // Validate the whole record before registering anything: magic,
-    // in-bounds lengths, then the checksum over digest + lengths +
-    // payloads. Any failure means the tail of this shard (a torn append,
-    // bit rot) is untrustworthy — stop and let those cells re-simulate.
-    uint32_t magic = 0;
-    if (pos + 4 + kRecordHeader > data.size()) break;
-    std::memcpy(&magic, data.data() + pos, 4);
-    if (magic != kRecordMagic) break;
-    BlobReader rec(data.data() + pos + 4, kRecordHeader);
+  for (const LogRecord& record : scan.records) {
+    const std::string_view payload = scan.payload(record);
+    BlobReader r(payload.data(), payload.size());
     Entry entry;
-    entry.digest.hi = rec.u64();
-    entry.digest.lo = rec.u64();
-    entry.spec_len = rec.u32();
-    entry.result_len = rec.u32();
-    const uint64_t body_len = kRecordHeader +
-                              static_cast<uint64_t>(entry.spec_len) +
-                              entry.result_len;
-    if (pos + 4 + body_len + 8 > data.size()) break;
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum, data.data() + pos + 4 + body_len, 8);
-    if (checksum64(data.data() + pos + 4, body_len) != stored_checksum) {
-      break;
+    entry.digest.hi = r.u64();
+    entry.digest.lo = r.u64();
+    entry.spec_len = r.u32();
+    if (!r.ok() || entry.spec_len > r.remaining()) {
+      ++skipped_records_;
+      continue;
     }
     entry.shard = shard_index;
-    entry.spec_offset = pos + 4 + kRecordHeader;
+    entry.spec_offset = record.offset + kRecordPrefix;
     entry.result_offset = entry.spec_offset + entry.spec_len;
+    entry.result_len =
+        static_cast<uint32_t>(r.remaining() - entry.spec_len);
     // First occurrence wins; later duplicates (merged stores share
     // content) are valid but redundant.
     if (index_.emplace(entry.digest, entries_.size()).second) {
       entries_.push_back(entry);
     }
-    pos += 4 + body_len + 8;
-    continue;
   }
-  if (pos < data.size()) {
+  if (scan.dropped_bytes > 0) {
+    // A torn append or bit rot: the records from the first bad one on
+    // re-simulate.
     CF_LOG_WARN(
-        "result cache: %s: bad record at offset %zu; ignoring the rest of "
-        "the shard (%zu trailing bytes)",
-        path.c_str(), pos, data.size() - pos);
+        "result cache: %s: bad record at offset %llu; ignoring the rest of "
+        "the shard (%llu trailing bytes)",
+        path.c_str(), static_cast<unsigned long long>(scan.good_bytes),
+        static_cast<unsigned long long>(scan.dropped_bytes));
     ++skipped_records_;
   }
 }
@@ -274,9 +205,7 @@ bool ResultCache::lookup(const SpecDigest& digest, RunResult* out) {
 }
 
 void ResultCache::insert_batch(const std::vector<Insert>& batch) {
-  BlobWriter shard;
-  shard.u32(kShardMagic);
-  shard.u32(kShardFormatVersion);
+  std::string content = log_header(LogKind::kCacheShard, {});
   std::vector<Entry> pending;
   std::unordered_map<SpecDigest, bool, SpecDigestHash> in_batch;
   for (const Insert& ins : batch) {
@@ -286,27 +215,23 @@ void ResultCache::insert_batch(const std::vector<Insert>& batch) {
     if (index_.count(ins.digest) != 0) continue;
     if (!in_batch.emplace(ins.digest, true).second) continue;
     const std::string result_bytes = encode_result(*ins.result);
-    BlobWriter body;
-    body.u64(ins.digest.hi);
-    body.u64(ins.digest.lo);
-    body.u32(static_cast<uint32_t>(ins.spec_blob.size()));
-    body.u32(static_cast<uint32_t>(result_bytes.size()));
-    body.bytes(ins.spec_blob.data(), ins.spec_blob.size());
-    body.bytes(result_bytes.data(), result_bytes.size());
+    BlobWriter payload;
+    payload.u64(ins.digest.hi);
+    payload.u64(ins.digest.lo);
+    payload.u32(static_cast<uint32_t>(ins.spec_blob.size()));
+    payload.bytes(ins.spec_blob.data(), ins.spec_blob.size());
+    payload.bytes(result_bytes.data(), result_bytes.size());
     Entry entry;
     entry.digest = ins.digest;
     entry.spec_len = static_cast<uint32_t>(ins.spec_blob.size());
     entry.result_len = static_cast<uint32_t>(result_bytes.size());
-    entry.spec_offset = shard.size() + 4 + kRecordHeader;
+    entry.spec_offset = append_record(&content, payload.data()) +
+                        kRecordPrefix;
     entry.result_offset = entry.spec_offset + entry.spec_len;
     pending.push_back(entry);
-    shard.u32(kRecordMagic);
-    shard.bytes(body.data().data(), body.size());
-    shard.u64(checksum64(body.data().data(), body.size()));
   }
   if (pending.empty()) return;
 
-  const std::string content = shard.take();
   // Content-hash naming makes shard writes idempotent and store merges
   // collision-free: copying shards between stores can only ever add files.
   const std::string name =
@@ -416,219 +341,6 @@ bool ResultCache::entry(size_t i, EntryView* out) {
   }
   out->digest = entry.digest;
   return true;
-}
-
-// ---- sharded partial result tables ------------------------------------
-
-bool save_shard_table(const std::string& path, const ShardTable& table) {
-  BlobWriter body;
-  body.u32(kTableFormatVersion);
-  body.u64(table.grid_size);
-  body.i32(table.shard_index);
-  body.i32(table.shard_count);
-  body.u64(table.rows.size());
-  for (const auto& [index, result] : table.rows) {
-    const std::string bytes = encode_result(result);
-    body.u64(index);
-    body.u32(static_cast<uint32_t>(bytes.size()));
-    body.bytes(bytes.data(), bytes.size());
-  }
-  BlobWriter file;
-  file.u32(kTableMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return write_file_atomic(path, file.take());
-}
-
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error) {
-  std::string data;
-  if (!read_file(path, &data)) {
-    *error = "cannot read " + path;
-    return false;
-  }
-  if (data.size() < 12) {
-    *error = path + " is truncated";
-    return false;
-  }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kTableMagic) {
-    *error = path + " is not a shard table";
-    return false;
-  }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored_checksum) {
-    *error = path + " failed its checksum (corrupt or truncated)";
-    return false;
-  }
-  BlobReader r(data.data() + 4, body_len);
-  if (r.u32() != kTableFormatVersion) {
-    *error = path + " has an unsupported table version";
-    return false;
-  }
-  ShardTable table;
-  table.grid_size = r.u64();
-  table.shard_index = r.i32();
-  table.shard_count = r.i32();
-  const uint64_t rows = r.u64();
-  if (!r.ok() || rows > r.remaining() / 12) {
-    *error = path + " has a malformed header";
-    return false;
-  }
-  table.rows.reserve(rows);
-  for (uint64_t i = 0; i < rows; ++i) {
-    const uint64_t index = r.u64();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    RunResult result;
-    if (bytes == nullptr || !decode_result(bytes, len, &result)) {
-      *error = path + " has an undecodable result row";
-      return false;
-    }
-    table.rows.emplace_back(index, std::move(result));
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    *error = path + " has trailing or missing bytes";
-    return false;
-  }
-  table.source = path;
-  *out = std::move(table);
-  return true;
-}
-
-namespace {
-
-/// "shard i/N (file.tbl)" when the table came from disk, "shard i/N"
-/// otherwise — merge diagnostics always lead with the artifact to act on.
-std::string table_label(const ShardTable& table) {
-  std::string label = "shard " + std::to_string(table.shard_index) + "/" +
-                      std::to_string(table.shard_count);
-  if (!table.source.empty()) label += " (" + table.source + ")";
-  return label;
-}
-
-}  // namespace
-
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error) {
-  if (tables.empty()) {
-    *error = "no shard tables to merge";
-    return std::nullopt;
-  }
-  const uint64_t grid_size = tables.front().grid_size;
-  const int shard_count = tables.front().shard_count;
-  // Duplicate tables are diagnosed up front — by shard index AND by the
-  // files claiming it — so a CI merge that globbed the same file twice
-  // (or two processes that ran the same shard) hears exactly which
-  // artifacts collided rather than a per-row "covered twice" at some
-  // arbitrary row.
-  {
-    std::vector<std::vector<const ShardTable*>> claims(
-        static_cast<size_t>(std::max(shard_count, 1)));
-    for (const ShardTable& table : tables) {
-      if (table.shard_index < 0 || table.shard_index >= shard_count) {
-        continue;  // reported with full context below
-      }
-      claims[static_cast<size_t>(table.shard_index)].push_back(&table);
-    }
-    std::string duplicated;
-    for (int s = 0; s < shard_count; ++s) {
-      const auto& owners = claims[static_cast<size_t>(s)];
-      if (owners.size() < 2) continue;
-      if (!duplicated.empty()) duplicated += "; ";
-      duplicated +=
-          "shard " + std::to_string(s) + "/" + std::to_string(shard_count);
-      std::string files;
-      for (const ShardTable* t : owners) {
-        if (t->source.empty()) continue;
-        if (!files.empty()) files += ", ";
-        files += t->source;
-      }
-      if (!files.empty()) duplicated += " (from " + files + ")";
-    }
-    if (!duplicated.empty()) {
-      *error = "duplicated shard tables: " + duplicated +
-               " — each shard may appear once in the merge list";
-      return std::nullopt;
-    }
-  }
-  std::vector<RunResult> results(grid_size);
-  std::vector<uint8_t> covered(grid_size, 0);
-  for (const ShardTable& table : tables) {
-    if (table.grid_size != grid_size || table.shard_count != shard_count) {
-      *error = table_label(table) + " disagrees on grid shape (" +
-               std::to_string(table.grid_size) + " cells/" +
-               std::to_string(table.shard_count) + " shards vs " +
-               std::to_string(grid_size) + "/" +
-               std::to_string(shard_count) + ")";
-      return std::nullopt;
-    }
-    if (table.shard_index < 0 || table.shard_index >= shard_count) {
-      *error = table_label(table) + ": shard index out of range for " +
-               std::to_string(shard_count) + " shards";
-      return std::nullopt;
-    }
-    for (const auto& [index, result] : table.rows) {
-      if (index >= grid_size) {
-        *error = "row index " + std::to_string(index) +
-                 " outside the grid of " + std::to_string(grid_size) +
-                 " in " + table_label(table);
-        return std::nullopt;
-      }
-      if (static_cast<int>(index % static_cast<uint64_t>(shard_count)) !=
-          table.shard_index) {
-        *error = "row " + std::to_string(index) + " does not belong to " +
-                 table_label(table);
-        return std::nullopt;
-      }
-      if (covered[index]) {
-        *error = "row " + std::to_string(index) + " covered twice (last by " +
-                 table_label(table) + ")";
-        return std::nullopt;
-      }
-      covered[index] = 1;
-      results[index] = result;
-    }
-  }
-  // An imperfect partition is named precisely: every uncovered row maps
-  // back to its owning shard (index % N), so the error lists exactly the
-  // --shard i/N invocations still missing instead of the first bad row.
-  uint64_t missing_rows = 0;
-  std::vector<uint8_t> shard_missing(
-      static_cast<size_t>(std::max(shard_count, 1)), 0);
-  for (uint64_t i = 0; i < grid_size; ++i) {
-    if (!covered[i]) {
-      ++missing_rows;
-      shard_missing[i % static_cast<uint64_t>(shard_count)] = 1;
-    }
-  }
-  if (missing_rows > 0) {
-    std::string shards;
-    for (int s = 0; s < shard_count; ++s) {
-      if (!shard_missing[static_cast<size_t>(s)]) continue;
-      if (!shards.empty()) shards += ", ";
-      shards += std::to_string(s) + "/" + std::to_string(shard_count);
-    }
-    // Name what WAS merged alongside what is missing: the absent shard
-    // has no file to point at, but the loaded file list tells the
-    // operator which glob/artifact set came up short.
-    std::string merged_files;
-    for (const ShardTable& table : tables) {
-      if (table.source.empty()) continue;
-      if (!merged_files.empty()) merged_files += ", ";
-      merged_files += table.source;
-    }
-    *error = std::to_string(missing_rows) + " of " +
-             std::to_string(grid_size) +
-             " rows uncovered; missing shard tables: " + shards;
-    if (!merged_files.empty()) {
-      *error += " (merged files: " + merged_files + ")";
-    }
-    return std::nullopt;
-  }
-  return results;
 }
 
 }  // namespace cuttlefish::exp

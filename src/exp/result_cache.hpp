@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,21 +8,21 @@
 #include "exp/driver.hpp"
 #include "exp/spec_digest.hpp"
 
-/// On-disk content-addressed store for sweep results, plus the partial
-/// result tables behind the `--shard i/N` protocol. Both share one
-/// byte-exact RunResult codec so a cached or merged result is
-/// indistinguishable — bit for bit — from a fresh co-simulation.
+/// On-disk content-addressed store for sweep results, and the byte-exact
+/// RunResult codec every persisted result goes through, so a cached or
+/// journaled result is indistinguishable — bit for bit — from a fresh
+/// co-simulation.
 ///
 /// Store layout (`<dir>/`):
-///   shard-<hex16>.bin   append-only record files, named by their own
-///                       content hash (so merging two stores is literally
-///                       copying files; identical shards collide to one)
+///   shard-<hex16>.bin   cache-shard record logs (exp/record_log.hpp),
+///                       named by their own content hash (so merging two
+///                       stores is literally copying files; identical
+///                       shards collide to one)
 ///   last_run.stats      hit/miss counters of the most recent cached sweep
 ///
-/// Crash safety: shards are written to a dot-temp file and renamed into
-/// place, so a torn write never corrupts an existing shard; within a file,
-/// every record carries a checksum and the open-time scan stops at the
-/// first bad record (a truncated tail costs its records, never wrong
+/// Crash safety: shards are written temp + rename, so a torn write never
+/// corrupts an existing shard; within a file the open-time scan stops at
+/// the first bad record (a truncated tail costs its records, never wrong
 /// results). The cache is a single-writer, single-reader object: the sweep
 /// engine drives it from the coordinating thread only — workers touch it
 /// never (lookups happen before the fan-out, inserts after the join).
@@ -112,33 +111,5 @@ class ResultCache {
   std::unordered_map<SpecDigest, size_t, SpecDigestHash> index_;
   uint64_t skipped_records_ = 0;
 };
-
-// ---- sharded partial result tables ------------------------------------
-
-/// One process's share of a grid under the `--shard i/N` protocol: the
-/// results of every spec index it owns, keyed by that index so N tables
-/// reassemble the single-process result vector byte-identically.
-struct ShardTable {
-  uint64_t grid_size = 0;
-  int shard_index = 0;
-  int shard_count = 1;
-  std::vector<std::pair<uint64_t, RunResult>> rows;
-  /// File this table was loaded from (set by load_shard_table; empty for
-  /// in-memory tables). Diagnostics only — never serialized: merge errors
-  /// name the offending *file*, not just the shard index, so a fleet
-  /// operator knows which artifact to re-fetch or delete.
-  std::string source;
-};
-
-/// Temp + rename, same record checksums as the cache shards. False (with
-/// a message on stderr) on I/O failure.
-bool save_shard_table(const std::string& path, const ShardTable& table);
-/// False + *error on malformed/corrupt files.
-bool load_shard_table(const std::string& path, ShardTable* out,
-                      std::string* error);
-/// Reassembles the full result vector. nullopt + *error unless the tables
-/// agree on (grid_size, shard_count) and cover every index exactly once.
-std::optional<std::vector<RunResult>> merge_shard_tables(
-    const std::vector<ShardTable>& tables, std::string* error);
 
 }  // namespace cuttlefish::exp

@@ -12,12 +12,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <thread>
-#include <tuple>
+#include <unordered_set>
 
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/record_log.hpp"
 #include "exp/result_cache.hpp"
 
 namespace fs = std::filesystem;
@@ -26,25 +26,18 @@ namespace cuttlefish::exp {
 
 namespace {
 
-constexpr uint32_t kJournalMagic = 0x43464a4eu;        // "CFJN"
-constexpr uint32_t kJournalVersion = 1;
-constexpr uint32_t kJournalRecordMagic = 0x43464a52u;  // "CFJR"
-constexpr uint32_t kManifestMagic = 0x4346514du;       // "CFQM"
-constexpr uint32_t kManifestVersion = 1;
-
-/// Journal header: magic, version, grid digest, grid size, checksum over
-/// everything before the checksum.
-constexpr size_t kJournalHeaderBytes = 4 + 4 + 16 + 8 + 8;
-/// Fixed part of a journal record after its magic: spec, attempt, len.
-constexpr size_t kJournalRecordHeader = 8 + 4 + 4;
+/// Journal pin: grid digest, grid size, owned partition i/N.
+constexpr size_t kJournalPinBytes = 16 + 8 + 4 + 4;
+/// Journal record payload: u64 spec | u32 attempt | encode_result bytes.
+constexpr size_t kJournalRowPrefix = 8 + 4;
+/// Manifest pin: grid digest. Its one record: a fixed-size row per
+/// quarantined spec.
+constexpr size_t kManifestPinBytes = 16;
+constexpr size_t kManifestRowBytes = 8 + 4 + 1 + 4 + 4;
 
 /// Exit code of a worker whose co-simulation succeeded but whose result
 /// file could not be written (distinguishable from the crash-hook's 41).
 constexpr int kWorkerWriteFailure = 42;
-
-uint64_t checksum64(const void* data, size_t size) {
-  return digest_bytes(data, size).lo;
-}
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -52,191 +45,173 @@ double now_s() {
       .count();
 }
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return false;
-  *out = std::move(data);
-  return true;
-}
-
-/// Same temp + rename discipline as the result cache: the destination
-/// either keeps its old content or atomically gains the complete new one.
-bool write_file_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      CF_LOG_ERROR("supervisor: cannot open %s for writing", tmp.c_str());
-      return false;
-    }
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    if (!out.good()) {
-      CF_LOG_ERROR("supervisor: short write to %s", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    CF_LOG_ERROR("supervisor: rename %s -> %s failed: %s", tmp.c_str(),
-                 path.c_str(), ec.message().c_str());
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
-
 // ---- journal -----------------------------------------------------------
 
-std::string encode_journal_header(const SpecDigest& grid,
-                                  uint64_t grid_size) {
+struct JournalPin {
+  SpecDigest grid = {0, 0};
+  uint64_t grid_size = 0;
+  uint32_t shard_index = 0;
+  uint32_t shard_count = 1;
+};
+
+std::string encode_pin(const JournalPin& pin) {
   BlobWriter w;
-  w.u32(kJournalMagic);
-  w.u32(kJournalVersion);
-  w.u64(grid.hi);
-  w.u64(grid.lo);
-  w.u64(grid_size);
-  w.u64(checksum64(w.data().data(), w.size()));
+  w.u64(pin.grid.hi);
+  w.u64(pin.grid.lo);
+  w.u64(pin.grid_size);
+  w.u32(pin.shard_index);
+  w.u32(pin.shard_count);
   return w.take();
 }
 
-struct JournalScan {
-  bool present = false;
-  bool valid = false;  // header parsed and checksummed
-  std::string error;
-  SpecDigest grid = {0, 0};
-  uint64_t grid_size = 0;
-  uint64_t good_bytes = 0;  // scan stop offset (truncate point on resume)
-  uint64_t dropped_bytes = 0;
-  std::vector<std::tuple<uint64_t, uint32_t, std::string>> records;
-};
-
-/// Scan stops at the first bad record: a torn appended tail costs its
-/// records (they re-run), never a wrong result.
-JournalScan scan_journal(const std::string& path) {
-  JournalScan scan;
-  std::string data;
-  if (!read_file(path, &data)) return scan;
-  scan.present = true;
-  if (data.size() < kJournalHeaderBytes) {
-    scan.error = path + " is truncated";
-    return scan;
-  }
-  BlobReader h(data.data(), kJournalHeaderBytes);
-  if (h.u32() != kJournalMagic) {
-    scan.error = path + " is not a sweep journal (bad magic)";
-    return scan;
-  }
-  if (h.u32() != kJournalVersion) {
-    scan.error = path + " has an unsupported journal version";
-    return scan;
-  }
-  scan.grid.hi = h.u64();
-  scan.grid.lo = h.u64();
-  scan.grid_size = h.u64();
-  if (h.u64() != checksum64(data.data(), kJournalHeaderBytes - 8)) {
-    scan.error = path + " failed its header checksum (torn or corrupt)";
-    return scan;
-  }
-  scan.valid = true;
-  size_t off = kJournalHeaderBytes;
-  while (off < data.size()) {
-    if (data.size() - off < 4 + kJournalRecordHeader + 8) break;
-    BlobReader r(data.data() + off, data.size() - off);
-    if (r.u32() != kJournalRecordMagic) break;
-    const uint64_t spec = r.u64();
-    const uint32_t attempt = r.u32();
-    const uint32_t len = r.u32();
-    const char* bytes = r.span(len);
-    if (bytes == nullptr) break;
-    const uint64_t stored = r.u64();
-    if (!r.ok()) break;
-    if (checksum64(data.data() + off + 4, kJournalRecordHeader + len) !=
-        stored) {
-      break;
-    }
-    scan.records.emplace_back(spec, attempt, std::string(bytes, len));
-    off += 4 + kJournalRecordHeader + len + 8;
-  }
-  scan.good_bytes = off;
-  scan.dropped_bytes = data.size() - off;
-  return scan;
+std::string partition(const JournalPin& pin) {
+  return std::to_string(pin.shard_index) + "/" +
+         std::to_string(pin.shard_count);
 }
 
-std::string encode_journal_record(uint64_t spec, uint32_t attempt,
-                                  const std::string& result_bytes) {
-  BlobWriter body;
-  body.u64(spec);
-  body.u32(attempt);
-  body.u32(static_cast<uint32_t>(result_bytes.size()));
-  body.bytes(result_bytes.data(), result_bytes.size());
-  BlobWriter rec;
-  rec.u32(kJournalRecordMagic);
-  rec.bytes(body.data().data(), body.size());
-  rec.u64(checksum64(body.data().data(), body.size()));
-  return rec.take();
+std::string encode_journal_row(uint64_t spec, uint32_t attempt,
+                               std::string_view result_bytes) {
+  BlobWriter w;
+  w.u64(spec);
+  w.u32(attempt);
+  w.bytes(result_bytes.data(), result_bytes.size());
+  return w.take();
+}
+
+struct JournalRow {
+  uint64_t spec = 0;
+  uint32_t attempt = 0;
+  RunResult result;
+};
+
+struct JournalReplay {
+  LogScan scan;
+  JournalPin pin;
+  std::vector<JournalRow> rows;
+};
+
+/// The one journal replay behind resume, status and merge: the first
+/// decodable record of every spec in the pinned grid, in journal order. A
+/// record whose checksum holds but whose payload does not decode counts
+/// nowhere, so its spec re-runs.
+JournalReplay replay_journal(const std::string& path) {
+  JournalReplay replay;
+  replay.scan = scan_log(path, LogKind::kJournal, kJournalPinBytes);
+  if (!replay.scan.valid) return replay;
+  BlobReader p(replay.scan.pin.data(), replay.scan.pin.size());
+  replay.pin.grid.hi = p.u64();
+  replay.pin.grid.lo = p.u64();
+  replay.pin.grid_size = p.u64();
+  replay.pin.shard_index = p.u32();
+  replay.pin.shard_count = p.u32();
+  if (replay.pin.shard_index >= replay.pin.shard_count) {
+    replay.scan.valid = false;
+    replay.scan.error = path + " pins an impossible partition " +
+                        partition(replay.pin);
+    return replay;
+  }
+  std::unordered_set<uint64_t> seen;
+  for (const LogRecord& record : replay.scan.records) {
+    const std::string_view payload = replay.scan.payload(record);
+    BlobReader r(payload.data(), payload.size());
+    JournalRow row;
+    row.spec = r.u64();
+    row.attempt = r.u32();
+    if (!r.ok() || row.spec >= replay.pin.grid_size ||
+        seen.count(row.spec) != 0 ||
+        !decode_result(payload.data() + kJournalRowPrefix,
+                       payload.size() - kJournalRowPrefix, &row.result)) {
+      continue;
+    }
+    seen.insert(row.spec);
+    replay.rows.push_back(std::move(row));
+  }
+  return replay;
+}
+
+/// Replays the journal in `dir` for appending under `pin`, creating both
+/// when absent; the appender then starts at replay->scan.good_bytes. Empty
+/// on success, else why the journal cannot be used.
+std::string open_journal(const std::string& dir, const JournalPin& pin,
+                         JournalReplay* replay) {
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) return "cannot create journal dir " + dir + ": " + ec.message();
+  const std::string path = dir + "/" + kJournalFileName;
+  *replay = replay_journal(path);
+  if (!replay->scan.present) {
+    if (fs::exists(path, ec)) return "cannot read " + path;
+    const std::string header = log_header(LogKind::kJournal, encode_pin(pin));
+    replay->scan.good_bytes = header.size();
+    return write_file_atomic(path, header) ? "" : "cannot create " + path;
+  }
+  if (!replay->scan.valid) return replay->scan.error;
+  const JournalPin& have = replay->pin;
+  if (have.grid != pin.grid || have.grid_size != pin.grid_size) {
+    return path + " was written by a different grid (" +
+           std::to_string(have.grid_size) + " specs, digest " +
+           have.grid.hex() + "; this grid: " + std::to_string(pin.grid_size) +
+           " specs, digest " + pin.grid.hex() +
+           ") — resume with the original flags or pick a fresh journal dir";
+  }
+  if (have.shard_index != pin.shard_index ||
+      have.shard_count != pin.shard_count) {
+    return path + " holds shard " + partition(have) + " of this grid, not " +
+           partition(pin) + " — pick a fresh journal dir";
+  }
+  if (replay->scan.dropped_bytes > 0) {
+    CF_LOG_WARN("supervisor: dropping %llu torn byte(s) from the tail "
+                "of %s (the affected specs re-run)",
+                static_cast<unsigned long long>(replay->scan.dropped_bytes),
+                path.c_str());
+  }
+  return "";
 }
 
 // ---- quarantine manifest -----------------------------------------------
 
 std::string encode_manifest(const SpecDigest& grid,
                             const std::vector<QuarantineRow>& rows) {
-  BlobWriter body;
-  body.u32(kManifestVersion);
-  body.u64(grid.hi);
-  body.u64(grid.lo);
-  body.u64(rows.size());
+  BlobWriter pin;
+  pin.u64(grid.hi);
+  pin.u64(grid.lo);
+  BlobWriter payload;
   for (const QuarantineRow& row : rows) {
-    body.u64(row.spec_index);
-    body.u32(row.attempts);
-    body.u8(row.timed_out ? 1 : 0);
-    body.i32(row.exit_status);
-    body.i32(row.term_signal);
+    payload.u64(row.spec_index);
+    payload.u32(row.attempts);
+    payload.u8(row.timed_out ? 1 : 0);
+    payload.i32(row.exit_status);
+    payload.i32(row.term_signal);
   }
-  BlobWriter file;
-  file.u32(kManifestMagic);
-  file.bytes(body.data().data(), body.size());
-  file.u64(checksum64(body.data().data(), body.size()));
-  return file.take();
+  std::string file = log_header(LogKind::kManifest, pin.data());
+  append_record(&file, payload.data());
+  return file;
 }
 
-bool decode_manifest(const std::string& data, SpecDigest* grid,
-                     std::vector<QuarantineRow>* rows, std::string* error) {
-  if (data.size() < 12) {
-    *error = "manifest is truncated";
+/// False when the manifest is absent (*error empty) or unusable (*error
+/// says why): a torn, corrupt or (with `grid`) other-grid manifest is
+/// never trusted.
+bool read_manifest(const std::string& path, const SpecDigest* grid,
+                   std::vector<QuarantineRow>* rows, std::string* error) {
+  const LogScan scan = scan_log(path, LogKind::kManifest, kManifestPinBytes);
+  if (!scan.present) return false;
+  if (!scan.valid) {
+    *error = scan.error;
     return false;
   }
-  BlobReader magic_reader(data.data(), 4);
-  if (magic_reader.u32() != kManifestMagic) {
-    *error = "manifest has a bad magic";
+  const std::string_view payload = scan.payload(scan.records.front());
+  if (payload.size() % kManifestRowBytes != 0) {
+    *error = path + " has a malformed row table";
     return false;
   }
-  const size_t body_len = data.size() - 12;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + 4 + body_len, 8);
-  if (checksum64(data.data() + 4, body_len) != stored) {
-    *error = "manifest failed its checksum (torn or corrupt)";
+  BlobReader p(scan.pin.data(), scan.pin.size());
+  if (grid != nullptr && (p.u64() != grid->hi || p.u64() != grid->lo)) {
+    *error = path + " was written by a different grid";
     return false;
   }
-  BlobReader r(data.data() + 4, body_len);
-  if (r.u32() != kManifestVersion) {
-    *error = "manifest has an unsupported version";
-    return false;
-  }
-  grid->hi = r.u64();
-  grid->lo = r.u64();
-  const uint64_t count = r.u64();
-  if (!r.ok() || count > r.remaining() / 21) {
-    *error = "manifest has a malformed header";
-    return false;
-  }
+  BlobReader r(payload.data(), payload.size());
   rows->clear();
-  rows->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  while (r.remaining() > 0) {
     QuarantineRow row;
     row.spec_index = r.u64();
     row.attempts = r.u32();
@@ -244,10 +219,6 @@ bool decode_manifest(const std::string& data, SpecDigest* grid,
     row.exit_status = r.i32();
     row.term_signal = r.i32();
     rows->push_back(row);
-  }
-  if (!r.ok() || r.remaining() != 0) {
-    *error = "manifest has trailing or missing bytes";
-    return false;
   }
   return true;
 }
@@ -284,39 +255,22 @@ bool decode_manifest(const std::string& data, SpecDigest* grid,
     crash_now(crash.mode);
   }
   const RunResult result = run_spec(grid.specs()[spec]);
-  std::string bytes = encode_result(result);
-  const uint64_t sum = checksum64(bytes.data(), bytes.size());
-  bytes.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  std::string file = log_header(LogKind::kWorkerResult, {});
+  append_record(&file, encode_result(result));
   const int fd =
       ::open(result_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) ::_exit(kWorkerWriteFailure);
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n <= 0) {
-      ::close(fd);
-      ::_exit(kWorkerWriteFailure);
-    }
-    written += static_cast<size_t>(n);
-  }
+  if (fd < 0 || !write_all(fd, file)) ::_exit(kWorkerWriteFailure);
   ::close(fd);
   ::_exit(0);
 }
 
-/// Parent-side read of a worker's result file: trailing checksum and a
-/// full decode must both pass, or the attempt counts as a failure.
-bool read_worker_result(const std::string& path, std::string* out_bytes) {
-  std::string data;
-  if (!read_file(path, &data) || data.size() < 8) return false;
-  uint64_t stored = 0;
-  std::memcpy(&stored, data.data() + data.size() - 8, 8);
-  data.resize(data.size() - 8);
-  if (checksum64(data.data(), data.size()) != stored) return false;
-  RunResult probe;
-  if (!decode_result(data.data(), data.size(), &probe)) return false;
-  *out_bytes = std::move(data);
-  return true;
+/// Parent-side read of a worker's result file: its one record must check
+/// out and decode, or the attempt counts as a failure.
+bool read_worker_result(const std::string& path, RunResult* result) {
+  const LogScan scan = scan_log(path, LogKind::kWorkerResult, 0);
+  if (!scan.valid) return false;
+  const std::string_view payload = scan.payload(scan.records.front());
+  return decode_result(payload.data(), payload.size(), result);
 }
 
 std::string describe_failure(const QuarantineRow& row) {
@@ -333,13 +287,6 @@ std::string describe_failure(const QuarantineRow& row) {
   }
   return buf;
 }
-
-struct FdCloser {
-  int fd = -1;
-  ~FdCloser() {
-    if (fd >= 0) ::close(fd);
-  }
-};
 
 }  // namespace
 
@@ -430,11 +377,6 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     return results;
   };
 
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) {
-    return fail("cannot create journal dir " + dir_ + ": " + ec.message());
-  }
   const SpecDigest digest = grid_digest(*grid_);
   const std::string journal_path = dir_ + "/" + kJournalFileName;
   const std::string manifest_path = dir_ + "/" + kQuarantineFileName;
@@ -457,92 +399,42 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
   std::vector<uint32_t> attempts(n, 0);
 
   // ---- resume: replay the journal, adopt the manifest ------------------
-  const JournalScan scan = scan_journal(journal_path);
-  if (scan.present) {
-    if (!scan.valid) return fail(scan.error);
-    if (scan.grid != digest || scan.grid_size != n) {
-      return fail(journal_path + " was written by a different grid (" +
-                  std::to_string(scan.grid_size) + " specs, digest " +
-                  scan.grid.hex() + "; this grid: " + std::to_string(n) +
-                  " specs, digest " + digest.hex() +
-                  ") — resume with the original flags or pick a fresh "
-                  "journal dir");
-    }
-    if (scan.dropped_bytes > 0) {
-      CF_LOG_WARN("supervisor: dropping %llu torn byte(s) from the tail "
-                  "of %s (the affected specs re-run)",
-                  static_cast<unsigned long long>(scan.dropped_bytes),
-                  journal_path.c_str());
-      fs::resize_file(journal_path, scan.good_bytes, ec);
-      if (ec) {
-        return fail("cannot truncate the torn journal tail of " +
-                    journal_path + ": " + ec.message());
-      }
-    }
-    for (const auto& [spec, attempt, bytes] : scan.records) {
-      if (spec >= n || state[spec] == SpecState::kDone) continue;
-      RunResult decoded;
-      if (!decode_result(bytes.data(), bytes.size(), &decoded)) continue;
-      results[spec] = std::move(decoded);
-      state[spec] = SpecState::kDone;
-      attempts[spec] = attempt + 1;
-      ++report.resumed;
-    }
-  } else {
-    if (!write_file_atomic(journal_path,
-                           encode_journal_header(digest, n))) {
-      return fail("cannot create " + journal_path);
-    }
+  JournalReplay replay;
+  if (const std::string why =
+          open_journal(dir_, JournalPin{digest, n, 0, 1}, &replay);
+      !why.empty()) {
+    return fail(why);
   }
-
-  std::vector<QuarantineRow> quarantine_rows;
-  {
-    std::string data;
-    if (read_file(manifest_path, &data)) {
-      SpecDigest manifest_grid;
-      std::vector<QuarantineRow> rows;
-      std::string manifest_error;
-      if (!decode_manifest(data, &manifest_grid, &rows, &manifest_error)) {
-        CF_LOG_WARN("supervisor: ignoring %s (%s); quarantined specs will "
-                    "be re-attempted",
-                    manifest_path.c_str(), manifest_error.c_str());
-      } else if (manifest_grid != digest) {
-        CF_LOG_WARN("supervisor: ignoring %s (written by a different "
-                    "grid)", manifest_path.c_str());
-      } else {
-        for (const QuarantineRow& row : rows) {
-          if (row.spec_index >= n ||
-              state[row.spec_index] != SpecState::kPending) {
-            continue;
-          }
-          state[row.spec_index] = SpecState::kQuarantined;
-          quarantine_rows.push_back(row);
-        }
-      }
-    }
+  for (JournalRow& row : replay.rows) {
+    results[row.spec] = std::move(row.result);
+    state[row.spec] = SpecState::kDone;
+    attempts[row.spec] = row.attempt + 1;
+    ++report.resumed;
   }
-
-  FdCloser journal{::open(journal_path.c_str(), O_WRONLY | O_APPEND)};
-  if (journal.fd < 0) {
+  LogAppender journal(journal_path, replay.scan.good_bytes);
+  if (!journal.ok()) {
     return fail("cannot append to " + journal_path + ": " +
                 std::strerror(errno));
   }
-  const auto journal_append = [&](uint64_t spec, uint32_t attempt,
-                                  const std::string& bytes) {
-    const std::string rec = encode_journal_record(spec, attempt, bytes);
-    size_t written = 0;
-    while (written < rec.size()) {
-      const ssize_t w = ::write(journal.fd, rec.data() + written,
-                                rec.size() - written);
-      if (w <= 0) {
-        // The result is still in memory; only resumability degrades.
-        CF_LOG_ERROR("supervisor: journal append failed: %s",
-                     std::strerror(errno));
-        return;
+  replay = JournalReplay{};
+
+  std::vector<QuarantineRow> quarantine_rows;
+  std::vector<QuarantineRow> adopted;
+  std::string manifest_error;
+  if (read_manifest(manifest_path, &digest, &adopted, &manifest_error)) {
+    for (const QuarantineRow& row : adopted) {
+      if (row.spec_index >= n ||
+          state[row.spec_index] != SpecState::kPending) {
+        continue;
       }
-      written += static_cast<size_t>(w);
+      state[row.spec_index] = SpecState::kQuarantined;
+      quarantine_rows.push_back(row);
     }
-  };
+  } else if (!manifest_error.empty()) {
+    CF_LOG_WARN("supervisor: ignoring %s; quarantined specs will be "
+                "re-attempted", manifest_error.c_str());
+  }
+
   const auto quarantine = [&](const QuarantineRow& row) {
     state[row.spec_index] = SpecState::kQuarantined;
     quarantine_rows.push_back(row);
@@ -583,7 +475,7 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
       for (const Active& a : active) {
         int status = 0;
         ::waitpid(a.pid, &status, 0);
-        fs::remove(a.result_path, ec);
+        ::unlink(a.result_path.c_str());
       }
       active.clear();
       for (uint64_t i = 0; i < n; ++i) {
@@ -652,19 +544,20 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
         continue;
       }
       progressed = true;
-      std::string bytes;
       const bool ok = r == a.pid && WIFEXITED(status) &&
                       WEXITSTATUS(status) == 0 &&
-                      read_worker_result(a.result_path, &bytes);
-      fs::remove(a.result_path, ec);
+                      read_worker_result(a.result_path, &results[a.spec]);
+      ::unlink(a.result_path.c_str());
       attempts[a.spec] = a.attempt + 1;
       if (ok) {
-        RunResult decoded;
-        decode_result(bytes.data(), bytes.size(), &decoded);
-        results[a.spec] = std::move(decoded);
         state[a.spec] = SpecState::kDone;
         ++report.executed;
-        journal_append(a.spec, a.attempt, bytes);
+        if (!journal.append(encode_journal_row(
+                a.spec, a.attempt, encode_result(results[a.spec])))) {
+          // The result is still in memory; only resumability degrades.
+          CF_LOG_ERROR("supervisor: journal append failed: %s",
+                       std::strerror(errno));
+        }
       } else {
         QuarantineRow row;
         row.spec_index = a.spec;
@@ -714,33 +607,141 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
 
 JournalStatus read_journal_status(const std::string& dir) {
   JournalStatus status;
-  const JournalScan scan = scan_journal(dir + "/" + kJournalFileName);
-  status.journal_present = scan.present;
-  status.valid = scan.valid;
-  status.error = scan.error;
-  status.grid = scan.grid;
-  status.grid_size = scan.grid_size;
-  status.dropped_bytes = scan.dropped_bytes;
-  if (scan.valid) {
-    std::vector<uint8_t> seen(scan.grid_size, 0);
-    for (const auto& [spec, attempt, bytes] : scan.records) {
-      if (spec >= scan.grid_size || seen[spec]) continue;
-      seen[spec] = 1;
-      ++status.done;
-      if (attempt > 0) ++status.retried;
-    }
+  const JournalReplay replay = replay_journal(dir + "/" + kJournalFileName);
+  status.journal_present = replay.scan.present;
+  status.valid = replay.scan.valid;
+  status.error = replay.scan.error;
+  status.grid = replay.pin.grid;
+  status.grid_size = replay.pin.grid_size;
+  status.dropped_bytes = replay.scan.dropped_bytes;
+  status.done = replay.rows.size();
+  for (const JournalRow& row : replay.rows) {
+    if (row.attempt > 0) ++status.retried;
   }
-  std::string data;
-  if (read_file(dir + "/" + std::string(kQuarantineFileName), &data)) {
-    SpecDigest manifest_grid;
-    std::vector<QuarantineRow> rows;
-    std::string manifest_error;
-    if (decode_manifest(data, &manifest_grid, &rows, &manifest_error) &&
-        (!scan.valid || manifest_grid == scan.grid)) {
-      status.quarantined = std::move(rows);
-    }
-  }
+  std::string manifest_error;
+  read_manifest(dir + "/" + kQuarantineFileName,
+                status.valid ? &status.grid : nullptr, &status.quarantined,
+                &manifest_error);
   return status;
+}
+
+// ---- fleet legs ----------------------------------------------------------
+
+bool append_shard_journal(
+    const SweepGrid& grid, const std::string& dir, int shard_index,
+    int shard_count,
+    const std::vector<std::pair<uint64_t, RunResult>>& rows,
+    std::string* error) {
+  const std::string path = dir + "/" + kJournalFileName;
+  const JournalPin pin{grid_digest(grid), grid.size(),
+                       static_cast<uint32_t>(shard_index),
+                       static_cast<uint32_t>(shard_count)};
+  JournalReplay replay;
+  if (std::string why = open_journal(dir, pin, &replay); !why.empty()) {
+    *error = std::move(why);
+    return false;
+  }
+  std::unordered_set<uint64_t> done;
+  for (const JournalRow& row : replay.rows) done.insert(row.spec);
+  LogAppender journal(path, replay.scan.good_bytes);
+  for (const auto& [spec, result] : rows) {
+    if (spec >= grid.size() || !shard_owns(spec, shard_index, shard_count)) {
+      *error = "row " + std::to_string(spec) + " does not belong to shard " +
+               partition(pin);
+      return false;
+    }
+    if (!done.insert(spec).second) continue;
+    if (!journal.append(encode_journal_row(spec, 0, encode_result(result)))) {
+      *error = "cannot append to " + path + ": " + std::strerror(errno);
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<std::vector<RunResult>> merge_journals(
+    const SweepGrid& grid, const std::vector<std::string>& paths,
+    std::string* error) {
+  const SpecDigest digest = grid_digest(grid);
+  std::vector<RunResult> results(grid.size());
+  std::vector<uint8_t> covered(grid.size(), 0);
+  std::vector<std::string> owner;  // per shard index: the file claiming it
+  std::string first, merged;
+  JournalPin pin;
+  const auto fail = [&](const std::string& why) {
+    *error = why;
+    return std::nullopt;
+  };
+  for (const std::string& arg : paths) {
+    std::error_code ec;
+    const std::string path =
+        fs::is_directory(arg, ec) ? arg + "/" + kJournalFileName : arg;
+    JournalReplay replay = replay_journal(path);
+    if (!replay.scan.valid) return fail(replay.scan.error);
+    const JournalPin& p = replay.pin;
+    if (first.empty()) {
+      first = path;
+      pin = p;
+      owner.assign(p.shard_count, "");
+    }
+    const std::string label = "shard " + partition(p) + " (" + path + ")";
+    if (p.grid != pin.grid) {
+      return fail("journals of different grids: " + first + " has digest " +
+                  pin.grid.hex() + ", " + path + " has digest " +
+                  p.grid.hex());
+    }
+    if (p.shard_count != pin.shard_count) {
+      return fail(label + " disagrees on the partition with shard " +
+                  partition(pin) + " (" + first + ")");
+    }
+    if (!owner[p.shard_index].empty()) {
+      return fail("duplicated shard journals: shard " + partition(p) +
+                  " (from " + owner[p.shard_index] + ", " + path +
+                  ") — each shard may appear once in the merge list");
+    }
+    if (p.grid != digest || p.grid_size != grid.size()) {
+      return fail(path + " was written by a different grid (" +
+                  std::to_string(p.grid_size) + " specs, digest " +
+                  p.grid.hex() + "; this grid: " +
+                  std::to_string(grid.size()) + " specs, digest " +
+                  digest.hex() + ") — merge with the flags the legs used");
+    }
+    owner[p.shard_index] = path;
+    merged += (merged.empty() ? "" : ", ") + path;
+    for (JournalRow& row : replay.rows) {
+      if (!shard_owns(row.spec, static_cast<int>(p.shard_index),
+                      static_cast<int>(p.shard_count))) {
+        return fail("row " + std::to_string(row.spec) +
+                    " does not belong to " + label);
+      }
+      covered[row.spec] = 1;
+      results[row.spec] = std::move(row.result);
+    }
+  }
+  if (first.empty()) return fail("no journals to merge");
+
+  // An imperfect union is named precisely: every uncovered row maps back
+  // to its owning shard, which is either missing from the list or
+  // incomplete in its journal, and the merged files are listed.
+  std::vector<uint8_t> short_shard(pin.shard_count, 0);
+  uint64_t missing_rows = 0;
+  for (uint64_t i = 0; i < grid.size(); ++i) {
+    if (covered[i]) continue;
+    ++missing_rows;
+    short_shard[i % pin.shard_count] = 1;
+  }
+  if (missing_rows == 0) return results;
+  std::string missing;
+  for (uint32_t s = 0; s < pin.shard_count; ++s) {
+    if (!short_shard[s]) continue;
+    missing += (missing.empty() ? "" : ", ") + std::to_string(s) + "/" +
+               std::to_string(pin.shard_count) +
+               (owner[s].empty() ? "" : " (incomplete: " + owner[s] + ")");
+  }
+  *error = std::to_string(missing_rows) + " of " +
+           std::to_string(grid.size()) + " rows uncovered; missing shard "
+           "journals: " + missing + " (merged files: " + merged + ")";
+  return std::nullopt;
 }
 
 }  // namespace cuttlefish::exp

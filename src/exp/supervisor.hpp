@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/spec_digest.hpp"
@@ -19,12 +20,17 @@
 /// that kills its worker `max_attempts` times is skipped, recorded in a
 /// checksummed quarantine manifest with its exit status/signal, and the
 /// sweep completes without it. Progress is journaled through an
-/// append-only checksummed run journal (same temp+rename and
-/// scan-stop-at-first-bad-record discipline as the result cache), so a
-/// supervisor that is itself SIGKILLed mid-run resumes by re-running only
-/// the unfinished specs — and, because journaled results are the workers'
-/// own encode_result bytes, the finished table is bit-identical to an
-/// uninterrupted single-process run.
+/// append-only run journal (journal, manifest and worker result file are
+/// all record logs, exp/record_log.hpp), so a supervisor that is itself
+/// SIGKILLed mid-run resumes by re-running only the unfinished specs —
+/// and, because journaled results are the workers' own encode_result
+/// bytes, the finished table is bit-identical to an uninterrupted
+/// single-process run.
+///
+/// The same journal is the fleet protocol: its header pins the grid
+/// digest and the partition i/N it owns (0/1 for a supervisor), a
+/// `--shard i/N` leg appends its rows to one (append_shard_journal), and
+/// merge_journals unions N of them back into the full table.
 ///
 /// Failure testing is deterministic: CUTTLEFISH_CRASH_AT=<spec>:<mode>
 /// (modes abort | kill | hang | exit, optional :N = first N attempts
@@ -149,5 +155,27 @@ struct JournalStatus {
 };
 
 JournalStatus read_journal_status(const std::string& dir);
+
+/// A `--shard i/N` fleet leg's output: appends `rows` (spec index,
+/// result) of partition i/N of `grid` to the journal in `dir`, creating it
+/// pinned to (grid, i/N) when absent. An existing journal must carry the
+/// same pin; rows it already holds are skipped, so a re-run leg adds
+/// nothing twice. False + *error on a pin mismatch, a row outside the
+/// partition, or I/O failure.
+bool append_shard_journal(
+    const SweepGrid& grid, const std::string& dir, int shard_index,
+    int shard_count,
+    const std::vector<std::pair<uint64_t, RunResult>>& rows,
+    std::string* error);
+
+/// Exactly-once union of fleet journals into `grid`'s result table, byte
+/// identical to a single-process run. Each path is a journal file or a
+/// directory holding one. nullopt + *error — naming the offending files —
+/// unless every journal was written by `grid`, they agree on N, each i/N
+/// appears once, every row lies in its journal's partition, and together
+/// they cover every spec.
+std::optional<std::vector<RunResult>> merge_journals(
+    const SweepGrid& grid, const std::vector<std::string>& paths,
+    std::string* error);
 
 }  // namespace cuttlefish::exp

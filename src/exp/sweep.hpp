@@ -144,8 +144,8 @@ inline bool shard_owns(uint64_t index, int shard_index, int shard_count) {
 }
 
 /// Run only the specs shard `shard_index` of `shard_count` owns, returning
-/// (spec index, result) rows ready for a ShardTable
-/// (exp/result_cache.hpp). N processes running the N shards of one grid —
+/// (spec index, result) rows ready for append_shard_journal
+/// (exp/supervisor.hpp). N processes running the N shards of one grid —
 /// with or without a shared cache — merge byte-identically to the
 /// single-process table.
 std::vector<std::pair<uint64_t, RunResult>> run_sweep_shard(

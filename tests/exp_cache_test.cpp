@@ -392,6 +392,30 @@ TEST(exp_cache, TruncatedShardLosesTailNotCorrectness) {
   EXPECT_TRUE(tables_identical(uncached, healed));
 }
 
+TEST(exp_cache, OldVersionShardIsIgnoredNotDecoded) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  const SweepGrid grid = make_grid(machine, 1);
+  const auto uncached = run_sweep(grid, nullptr);
+  TempStore store("oldversion");
+  fs::create_directories(store.dir());
+  {
+    // A version-1 shard began with the same tag, then version 1.
+    const uint32_t header[2] = {0x43465348u, 1};
+    std::ofstream out(store.dir() / "shard-0000000000000000.bin",
+                      std::ios::binary);
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out << std::string(64, '\x22');
+  }
+  ResultCache cache(store.path());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().shards, 0u);
+  EXPECT_EQ(cache.stats().skipped_records, 1u);
+  SweepRunStats stats;
+  EXPECT_TRUE(tables_identical(uncached,
+                               run_sweep(grid, nullptr, &cache, &stats)));
+  EXPECT_EQ(stats.cache_misses, grid.size());
+}
+
 // ---- stats / gc --------------------------------------------------------
 
 TEST(exp_cache, StatsAndGcDropOldestShardsFirst) {
@@ -452,173 +476,6 @@ TEST(exp_cache, EntryViewExposesSpecAndResult) {
   }
   ResultCache::EntryView out_of_range;
   EXPECT_FALSE(cache.entry(cache.size(), &out_of_range));
-}
-
-// ---- shard tables ------------------------------------------------------
-
-TEST(exp_cache, ShardMergeIsByteIdenticalForSeveralPartitions) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 3);
-  const auto serial = run_sweep(grid, nullptr);
-
-  for (const int n : {1, 2, 3, 5}) {
-    std::vector<ShardTable> tables;
-    size_t covered = 0;
-    for (int i = 0; i < n; ++i) {
-      ShardTable t;
-      t.grid_size = grid.size();
-      t.shard_index = i;
-      t.shard_count = n;
-      t.rows = run_sweep_shard(grid, i, n);
-      covered += t.rows.size();
-      tables.push_back(std::move(t));
-    }
-    EXPECT_EQ(covered, grid.size());
-    std::string error;
-    const auto merged = merge_shard_tables(tables, &error);
-    ASSERT_TRUE(merged.has_value()) << "N=" << n << ": " << error;
-    EXPECT_TRUE(tables_identical(serial, *merged)) << "N=" << n;
-  }
-}
-
-TEST(exp_cache, ShardTableSurvivesTheFileRoundTrip) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 2);
-  const auto serial = run_sweep(grid, nullptr);
-  TempStore store("table");
-  fs::create_directories(store.dir());
-
-  std::vector<ShardTable> loaded;
-  for (int i = 0; i < 2; ++i) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = 2;
-    t.rows = run_sweep_shard(grid, i, 2);
-    const std::string path =
-        (store.dir() / ("s" + std::to_string(i) + ".tbl")).string();
-    ASSERT_TRUE(save_shard_table(path, t));
-    ShardTable back;
-    std::string error;
-    ASSERT_TRUE(load_shard_table(path, &back, &error)) << error;
-    EXPECT_EQ(back.grid_size, t.grid_size);
-    EXPECT_EQ(back.shard_index, i);
-    loaded.push_back(std::move(back));
-  }
-  std::string error;
-  const auto merged = merge_shard_tables(loaded, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_TRUE(tables_identical(serial, *merged));
-}
-
-TEST(exp_cache, MergeRejectsBadShardSets) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  const auto make_table = [&](int i, int n) {
-    ShardTable t;
-    t.grid_size = grid.size();
-    t.shard_index = i;
-    t.shard_count = n;
-    t.rows = run_sweep_shard(grid, i, n);
-    return t;
-  };
-  std::string error;
-
-  // Missing shard: coverage is incomplete.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2)}, &error).has_value());
-  EXPECT_FALSE(error.empty());
-
-  // Duplicate shard: an index is covered twice.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(0, 2),
-                                   make_table(1, 2)},
-                                  &error)
-                   .has_value());
-
-  // Disagreeing shard_count.
-  EXPECT_FALSE(merge_shard_tables({make_table(0, 2), make_table(1, 3)},
-                                  &error)
-                   .has_value());
-
-  // A row the shard does not own (partition membership violation).
-  ShardTable bad = make_table(0, 2);
-  ASSERT_FALSE(bad.rows.empty());
-  bad.rows[0].first += 1;  // now an odd index in the even shard
-  EXPECT_FALSE(
-      merge_shard_tables({bad, make_table(1, 2)}, &error).has_value());
-}
-
-TEST(exp_cache, CorruptShardTableFileIsRejected) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  ShardTable t;
-  t.grid_size = grid.size();
-  t.shard_index = 0;
-  t.shard_count = 1;
-  t.rows = run_sweep_shard(grid, 0, 1);
-  TempStore store("badtable");
-  fs::create_directories(store.dir());
-  const std::string path = (store.dir() / "t.tbl").string();
-  ASSERT_TRUE(save_shard_table(path, t));
-
-  // Flip a payload byte: the trailing checksum must catch it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(path)) / 2);
-    char byte = 0x55;
-    f.write(&byte, 1);
-  }
-  ShardTable back;
-  std::string error;
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(error.empty());
-
-  // Truncation too.
-  fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_FALSE(load_shard_table(path, &back, &error));
-  EXPECT_FALSE(load_shard_table((store.dir() / "absent.tbl").string(),
-                                &back, &error));
-}
-
-TEST(exp_cache, MergeDiagnosticsNameTheOffendingFiles) {
-  const sim::MachineConfig machine = sim::haswell_2650v3();
-  const SweepGrid grid = make_grid(machine, 1);
-  TempStore store("mergediag");
-  fs::create_directories(store.dir());
-
-  ShardTable t0, t1;
-  t0.grid_size = t1.grid_size = grid.size();
-  t0.shard_count = t1.shard_count = 2;
-  t0.shard_index = 0;
-  t1.shard_index = 1;
-  t0.rows = run_sweep_shard(grid, 0, 2);
-  t1.rows = run_sweep_shard(grid, 1, 2);
-
-  // The same shard saved twice under different names — the fleet-ops
-  // shape of a doubled artifact, where "shard 0 is duplicated" alone
-  // does not say which file to delete.
-  const std::string path_a = (store.dir() / "node-a.tbl").string();
-  const std::string path_b = (store.dir() / "node-b.tbl").string();
-  const std::string path_c = (store.dir() / "node-c.tbl").string();
-  ASSERT_TRUE(save_shard_table(path_a, t0));
-  ASSERT_TRUE(save_shard_table(path_b, t0));
-  ASSERT_TRUE(save_shard_table(path_c, t1));
-
-  std::vector<ShardTable> loaded(3);
-  std::string error;
-  ASSERT_TRUE(load_shard_table(path_a, &loaded[0], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_b, &loaded[1], &error)) << error;
-  ASSERT_TRUE(load_shard_table(path_c, &loaded[2], &error)) << error;
-  EXPECT_EQ(loaded[0].source, path_a);
-
-  EXPECT_FALSE(merge_shard_tables(loaded, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
-  EXPECT_NE(error.find("node-b.tbl"), std::string::npos) << error;
-
-  // Missing shard: the error lists the files that *were* merged, so the
-  // absent artifact is identifiable by elimination.
-  EXPECT_FALSE(
-      merge_shard_tables({loaded[0]}, &error).has_value());
-  EXPECT_NE(error.find("node-a.tbl"), std::string::npos) << error;
 }
 
 TEST(exp_cache, CacheDirVanishingMidRunDegradesToSimulation) {
