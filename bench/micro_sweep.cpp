@@ -345,9 +345,10 @@ int run_supervised_mode(const exp::SweepGrid& grid,
     return 2;
   }
   std::printf("  supervised: %7.3fs wall (%zu resumed from journal, %zu "
-              "executed, %zu retries, %zu quarantined)\n",
+              "executed, %zu retries, %zu quarantined, %zu worker "
+              "launches)\n",
               supervised_wall, report.resumed, report.executed,
-              report.retries, report.quarantined.size());
+              report.retries, report.quarantined.size(), report.launches);
   if (!report.completed) {
     std::fprintf(stderr,
                  "micro_sweep: supervised sweep incomplete (%zu specs "
@@ -415,6 +416,7 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   json.field("resumed_specs", static_cast<int64_t>(report.resumed));
   json.field("executed_specs", static_cast<int64_t>(report.executed));
   json.field("retries", static_cast<int64_t>(report.retries));
+  json.field("worker_launches", static_cast<int64_t>(report.launches));
   json.raw("quarantined_indices", "[" + got_json + "]");
   json.field("supervised_wall_s", supervised_wall, 4);
   json.field("serial_wall_s", serial_wall, 4);

@@ -82,57 +82,74 @@ uint64_t append_record(std::string* log, std::string_view payload) {
   return start + sizeof(size);
 }
 
+LogReader::LogReader(LogKind kind, size_t pin_size, std::string name)
+    : kind_(kind), pin_size_(pin_size), name_(std::move(name)) {}
+
+std::vector<LogRecord> LogReader::read(std::string_view log) {
+  std::vector<LogRecord> records;
+  if (!ok()) return records;
+  if (!has_header_) {
+    BlobReader h(log.data(), log.size());
+    const uint32_t tag = h.u32();
+    const uint32_t version = h.u32();
+    const char* pin = h.span(pin_size_);
+    const uint64_t sum = h.u64();
+    // Kind and version are checked first: an old or foreign log is named
+    // as such and never parsed further.
+    const bool tagged = log.size() >= 2 * sizeof(uint32_t);
+    if (tagged && tag != static_cast<uint32_t>(kind_)) {
+      error_ = name_ + " is not a record log of this kind (bad magic)";
+      return records;
+    }
+    if (tagged && version != kLogVersion) {
+      error_ = name_ + " has format version " + std::to_string(version) +
+               "; this build reads version " + std::to_string(kLogVersion);
+      return records;
+    }
+    if (!h.ok()) return records;
+    const size_t header_size = log.size() - h.remaining();
+    if (sum != checksum64(log.data(), header_size - sizeof(sum))) {
+      error_ = name_ + " failed its header checksum (torn or corrupt)";
+      return records;
+    }
+    pin_.assign(pin, pin_size_);
+    has_header_ = true;
+    consumed_ = header_size;
+  }
+  while (consumed_ < log.size()) {
+    BlobReader r(log.data() + consumed_, log.size() - consumed_);
+    const uint32_t size = r.u32();
+    r.span(size);
+    const uint64_t stored = r.u64();
+    if (!r.ok()) break;  // cut short: the rest has not arrived
+    if (checksum64(log.data() + consumed_, sizeof(size) + size) != stored) {
+      corrupt_ = true;
+      break;
+    }
+    records.push_back(LogRecord{consumed_ + sizeof(size), size});
+    consumed_ = log.size() - r.remaining();
+  }
+  return records;
+}
+
 LogScan parse_log(std::string data, LogKind kind, size_t pin_size,
                   const std::string& name) {
   LogScan scan;
   scan.present = true;
   scan.data = std::move(data);
-  const std::string& d = scan.data;
-  BlobReader h(d.data(), d.size());
-  const uint32_t tag = h.u32();
-  const uint32_t version = h.u32();
-  const char* pin = h.span(pin_size);
-  const uint64_t sum = h.u64();
-  // Kind and version are checked first: an old or foreign file is named
-  // as such and never parsed further.
-  const bool tagged = d.size() >= 2 * sizeof(uint32_t);
-  if (tagged && tag != static_cast<uint32_t>(kind)) {
-    scan.error = name + " is not a record log of this kind (bad magic)";
+  LogReader reader(kind, pin_size, name);
+  scan.records = reader.read(scan.data);
+  if (!reader.has_header()) {
+    scan.error = !reader.error().empty()
+                     ? reader.error()
+                     : name + " is truncated (no complete header)";
     return scan;
   }
-  if (tagged && version != kLogVersion) {
-    scan.error = name + " has format version " + std::to_string(version) +
-                 "; this build reads version " + std::to_string(kLogVersion);
-    return scan;
-  }
-  if (!h.ok()) {
-    scan.error = name + " is truncated (no complete header)";
-    return scan;
-  }
-  const size_t header_size = d.size() - h.remaining();
-  if (sum != checksum64(d.data(), header_size - sizeof(sum))) {
-    scan.error = name + " failed its header checksum (torn or corrupt)";
-    return scan;
-  }
-  scan.pin.assign(pin, pin_size);
-
-  size_t off = header_size;
-  while (off < d.size()) {
-    BlobReader r(d.data() + off, d.size() - off);
-    const uint32_t size = r.u32();
-    r.span(size);
-    const uint64_t stored = r.u64();
-    if (!r.ok() || checksum64(d.data() + off, sizeof(size) + size) != stored) {
-      break;
-    }
-    scan.records.push_back(LogRecord{off + sizeof(size), size});
-    off = d.size() - r.remaining();
-  }
-  scan.good_bytes = off;
-  scan.dropped_bytes = d.size() - off;
-  const bool whole =
-      kind == LogKind::kManifest || kind == LogKind::kWorkerResult;
-  if (whole && (scan.records.size() != 1 || scan.dropped_bytes != 0)) {
+  scan.pin = reader.pin();
+  scan.good_bytes = reader.consumed();
+  scan.dropped_bytes = scan.data.size() - scan.good_bytes;
+  if (kind == LogKind::kManifest &&
+      (scan.records.size() != 1 || scan.dropped_bytes != 0)) {
     scan.error = name + " failed its record checksum (torn or corrupt)";
     return scan;
   }

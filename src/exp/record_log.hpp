@@ -5,10 +5,11 @@
 #include <string_view>
 #include <vector>
 
-/// The one on-disk framing of the sweep layer: cache shards, the
-/// supervisor journal, the quarantine manifest and the worker result file
-/// are all record logs, and only this code frames, checksums, scans or
-/// writes their bytes. Format and crash contract: docs/SWEEP_CACHE.md.
+/// The one framing of the sweep layer's bytes: cache shards, the
+/// supervisor journal, the quarantine manifest and the stream a supervised
+/// worker writes down its pipe are all record logs, and only this code
+/// frames, checksums, scans or writes their bytes. Format and crash
+/// contract: docs/SWEEP_CACHE.md.
 ///
 ///   header  u32 kind | u32 version | pin (fixed size per kind) | u64 sum
 ///   record  u32 length | payload | u64 sum
@@ -25,7 +26,7 @@ enum class LogKind : uint32_t {
   kCacheShard = 0x43465348u,    // "CFSH", append-only
   kJournal = 0x43464a4eu,       // "CFJN", append-only
   kManifest = 0x4346514du,      // "CFQM", whole file
-  kWorkerResult = 0x43465752u,  // "CFWR", whole file
+  kWorkerResult = 0x43465752u,  // "CFWR", append-only worker stream
 };
 
 /// Container version of every kind. Version-1 files (the hand-framed
@@ -62,6 +63,42 @@ struct LogScan {
   std::string_view payload(const LogRecord& record) const {
     return std::string_view(data).substr(record.offset, record.size);
   }
+};
+
+/// The one scanner of a log's bytes, fed them as they arrive: a whole file
+/// at once (parse_log) or a worker's pipe chunk by chunk. Each read() is
+/// given every byte received so far (the previous call's bytes plus the
+/// new ones) and frames what they complete: the header, then each whole
+/// record. A header or record cut short waits for more bytes; one that is
+/// complete but fails its checks stops the reader for good.
+class LogReader {
+ public:
+  /// Reads a log of `kind` whose pin is `pin_size` bytes; `name` labels
+  /// the errors.
+  LogReader(LogKind kind, size_t pin_size, std::string name);
+
+  /// The records `log` completed since the last call; offsets index `log`.
+  std::vector<LogRecord> read(std::string_view log);
+
+  bool has_header() const { return has_header_; }
+  const std::string& pin() const { return pin_; }
+  /// Why the header was refused; empty while it is intact or incomplete.
+  const std::string& error() const { return error_; }
+  /// False once no further record can be framed: the header was refused
+  /// or a complete record failed its checksum.
+  bool ok() const { return error_.empty() && !corrupt_; }
+  /// End of the header and of the last good record.
+  uint64_t consumed() const { return consumed_; }
+
+ private:
+  LogKind kind_;
+  size_t pin_size_;
+  std::string name_;
+  bool has_header_ = false;
+  bool corrupt_ = false;
+  std::string pin_;
+  std::string error_;
+  uint64_t consumed_ = 0;
 };
 
 /// Scans `data` as a log of `kind` whose pin is `pin_size` bytes; `name`

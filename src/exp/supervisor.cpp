@@ -1,22 +1,28 @@
 #include "exp/supervisor.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <thread>
+#include <map>
+#include <set>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/log.hpp"
 #include "exp/blob.hpp"
+#include "exp/calibrate.hpp"
 #include "exp/record_log.hpp"
 #include "exp/result_cache.hpp"
 
@@ -36,8 +42,10 @@ constexpr size_t kManifestPinBytes = 16;
 constexpr size_t kManifestRowBytes = 8 + 4 + 1 + 4 + 4;
 
 /// Exit code of a worker whose co-simulation succeeded but whose result
-/// file could not be written (distinguishable from the crash-hook's 41).
+/// could not be written (distinguishable from the crash-hook's 41).
 constexpr int kWorkerWriteFailure = 42;
+/// Worker stream record payload: u64 spec | encode_result bytes.
+constexpr size_t kStreamRowPrefix = 8;
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -243,34 +251,46 @@ bool read_manifest(const std::string& path, const SpecDigest* grid,
   for (;;) ::pause();
 }
 
-/// The forked worker: one spec, one result file, _exit. Never returns to
-/// the supervisor's code; _exit skips atexit/stdio so the parent's
-/// buffered output is not replayed.
-[[noreturn]] void worker_main(const SweepGrid& grid, uint64_t spec,
-                              uint32_t attempt, const CrashSpec& crash,
-                              const std::string& result_path) {
-  if (crash.enabled() &&
-      crash.spec_index == static_cast<int64_t>(spec) &&
-      (crash.times < 0 || static_cast<int>(attempt) < crash.times)) {
-    crash_now(crash.mode);
-  }
-  const RunResult result = run_spec(grid.specs()[spec]);
-  std::string file = log_header(LogKind::kWorkerResult, {});
-  append_record(&file, encode_result(result));
-  const int fd =
-      ::open(result_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0 || !write_all(fd, file)) ::_exit(kWorkerWriteFailure);
-  ::close(fd);
-  ::_exit(0);
+/// The specs that share one calibrated program (run_sweep's memo key).
+using ProgramKey = std::tuple<const workloads::BenchmarkModel*,
+                              const sim::MachineConfig*, uint64_t>;
+
+ProgramKey program_key(const RunSpec& spec) {
+  return {spec.model, spec.machine, spec.seed};
 }
 
-/// Parent-side read of a worker's result file: its one record must check
-/// out and decode, or the attempt counts as a failure.
-bool read_worker_result(const std::string& path, RunResult* result) {
-  const LogScan scan = scan_log(path, LogKind::kWorkerResult, 0);
-  if (!scan.valid) return false;
-  const std::string_view payload = scan.payload(scan.records.front());
-  return decode_result(payload.data(), payload.size(), result);
+/// The forked worker of one lease: runs `specs` in order and streams each
+/// result down `fd` as one record of a worker-stream log (payload: u64
+/// spec | encode_result bytes), then _exits. Programs are memoised per
+/// ProgramKey as run_sweep does, so the bits are the same. Never returns
+/// to the supervisor's code; _exit skips atexit/stdio so the parent's
+/// buffered output is not replayed.
+[[noreturn]] void worker_main(const SweepGrid& grid,
+                              const std::vector<uint64_t>& specs,
+                              const std::vector<uint32_t>& attempts,
+                              const CrashSpec& crash, int fd) {
+  std::map<ProgramKey, sim::PhaseProgram> programs;
+  std::string stream = log_header(LogKind::kWorkerResult, {});
+  for (const uint64_t i : specs) {
+    if (crash.enabled() && crash.spec_index == static_cast<int64_t>(i) &&
+        (crash.times < 0 || static_cast<int>(attempts[i]) < crash.times)) {
+      crash_now(crash.mode);
+    }
+    const RunSpec& spec = grid.specs()[i];
+    const auto [program, fresh] = programs.try_emplace(program_key(spec));
+    if (fresh) {
+      program->second =
+          build_calibrated(*spec.model, *spec.machine, spec.seed);
+    }
+    BlobWriter row;
+    row.u64(i);
+    const std::string result = encode_result(run_spec(spec, program->second));
+    row.bytes(result.data(), result.size());
+    append_record(&stream, row.data());
+    if (!write_all(fd, stream)) ::_exit(kWorkerWriteFailure);
+    stream.clear();
+  }
+  ::_exit(0);
 }
 
 std::string describe_failure(const QuarantineRow& row) {
@@ -444,40 +464,168 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     }
   };
 
-  // ---- the fork / reap / retry loop ------------------------------------
-  struct Active {
+  // ---- the lease / stream / reap loop ----------------------------------
+  // A lease is one worker for a list of specs. Its spec in flight is the
+  // first without an accepted record; a failed lease is charged to that
+  // spec alone, and the specs after it go back to pending.
+  struct Lease {
     pid_t pid = -1;
-    uint64_t spec = 0;
-    uint32_t attempt = 0;
-    double deadline = 0.0;  // 0 = no per-spec budget
+    int fd = -1;
+    std::vector<uint64_t> specs;  // in run order
+    size_t next = 0;              // specs[next] is the spec in flight
+    double deadline = 0.0;  // the spec in flight's; 0 = none to enforce
     bool timed_out = false;
-    std::string result_path;
+    bool garbled = false;   // a record failed its checksum or decode
+    std::string stream;     // every byte the worker has sent
+    LogReader reader{LogKind::kWorkerResult, 0, "worker stream"};
   };
-  std::vector<Active> active;
+  std::vector<Lease> leases;
   std::vector<double> ready_at(n, 0.0);
   const double t0 = now_s();
   const double total_deadline =
       options_.total_timeout_s > 0 ? t0 + options_.total_timeout_s : 0.0;
-  const int max_workers = std::max(1, options_.max_workers);
+  const size_t max_workers =
+      static_cast<size_t>(std::max(1, options_.max_workers));
   const int max_attempts = std::max(1, options_.max_attempts);
-  uint64_t pending = 0;
-  for (const SpecState s : state) {
-    if (s == SpecState::kPending) ++pending;
+  const auto deadline_after = [&](double now) {
+    return options_.spec_timeout_s > 0 ? now + options_.spec_timeout_s : 0.0;
+  };
+  const pid_t supervisor_pid = ::getpid();
+  std::set<uint64_t> pending;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (state[i] == SpecState::kPending) pending.insert(i);
   }
 
-  while (pending > 0 || !active.empty()) {
+  // Forks one worker for `specs`; when none can be started, they are
+  // backed off instead.
+  const auto start_lease = [&](std::vector<uint64_t> specs) {
+    int fds[2] = {-1, -1};
+    const pid_t pid = ::pipe2(fds, O_CLOEXEC) == 0 ? ::fork() : -1;
+    if (pid == 0) {
+      ::close(fds[0]);
+      // Die with the supervisor: an orphan would run on (or hang forever)
+      // under init, racing a resume for the same specs.
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      if (::getppid() != supervisor_pid) ::raise(SIGKILL);
+      worker_main(*grid_, specs, attempts, crash, fds[1]);
+    }
+    const double now = now_s();
+    if (pid < 0) {
+      CF_LOG_ERROR("supervisor: cannot start a worker: %s",
+                   std::strerror(errno));
+      for (const int fd : fds) {
+        if (fd >= 0) ::close(fd);
+      }
+      for (const uint64_t i : specs) ready_at[i] = now + 0.1;
+      return;
+    }
+    ::close(fds[1]);
+    for (const uint64_t i : specs) {
+      state[i] = SpecState::kRunning;
+      pending.erase(i);
+    }
+    ++report.launches;
+    Lease& lease = leases.emplace_back();
+    lease.pid = pid;
+    lease.fd = fds[0];
+    lease.specs = std::move(specs);
+    lease.deadline = deadline_after(now);
+  };
+
+  // Accepts the records a worker has streamed so far, journaling each; a
+  // garbled one (or one out of order) stops the lease.
+  const auto accept = [&](Lease& lease) {
+    for (const LogRecord& record : lease.reader.read(lease.stream)) {
+      const std::string_view payload =
+          std::string_view(lease.stream).substr(record.offset, record.size);
+      BlobReader r(payload.data(), payload.size());
+      RunResult result;
+      if (lease.next >= lease.specs.size() ||
+          r.u64() != lease.specs[lease.next] || !r.ok() ||
+          !decode_result(payload.data() + kStreamRowPrefix,
+                         payload.size() - kStreamRowPrefix, &result)) {
+        lease.garbled = true;
+        break;
+      }
+      const uint64_t spec = lease.specs[lease.next++];
+      results[spec] = std::move(result);
+      state[spec] = SpecState::kDone;
+      ++report.executed;
+      lease.deadline =
+          lease.next < lease.specs.size() ? deadline_after(now_s()) : 0.0;
+      if (!journal.append(encode_journal_row(
+              spec, attempts[spec], payload.substr(kStreamRowPrefix)))) {
+        // The result is still in memory; only resumability degrades.
+        CF_LOG_ERROR("supervisor: journal append failed: %s",
+                     std::strerror(errno));
+      }
+    }
+    if (!lease.reader.ok()) lease.garbled = true;
+    if (lease.garbled) {
+      lease.deadline = 0.0;
+      ::kill(lease.pid, SIGKILL);
+    }
+  };
+
+  // Books a lease whose worker has closed its stream (exited or died).
+  const auto reap = [&](Lease& lease) {
+    int status = 0;
+    const pid_t r = ::waitpid(lease.pid, &status, 0);
+    ::close(lease.fd);
+    if (lease.next >= lease.specs.size()) return;  // every spec accepted
+    const uint64_t spec = lease.specs[lease.next];
+    QuarantineRow row;
+    row.spec_index = spec;
+    row.attempts = attempts[spec] + 1;
+    row.timed_out = lease.timed_out;
+    const bool died = r == lease.pid && !lease.garbled;
+    row.exit_status = died && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    row.term_signal = died && WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+    attempts[spec] = row.attempts;
+    // The specs after the one in flight never ran: back to pending, with
+    // no attempt charged.
+    for (size_t k = lease.next + 1; k < lease.specs.size(); ++k) {
+      state[lease.specs[k]] = SpecState::kPending;
+      pending.insert(lease.specs[k]);
+    }
+    const std::string why = describe_failure(row);
+    if (static_cast<int>(row.attempts) >= max_attempts) {
+      CF_LOG_WARN("supervisor: spec %llu %s on attempt %u/%d — "
+                  "quarantined as poison; the sweep continues "
+                  "without it",
+                  static_cast<unsigned long long>(spec), why.c_str(),
+                  row.attempts, max_attempts);
+      quarantine(row);
+      return;
+    }
+    const uint32_t shift = std::min(row.attempts - 1, 20u);
+    const double backoff =
+        std::min(options_.backoff_max_s,
+                 options_.backoff_base_s *
+                     static_cast<double>(uint64_t{1} << shift));
+    CF_LOG_WARN("supervisor: spec %llu %s on attempt %u/%d; "
+                "retrying in %.2fs",
+                static_cast<unsigned long long>(spec), why.c_str(),
+                row.attempts, max_attempts, backoff);
+    ready_at[spec] = now_s() + backoff;
+    state[spec] = SpecState::kPending;
+    pending.insert(spec);
+    ++report.retries;
+  };
+
+  while (!pending.empty() || !leases.empty()) {
     double now = now_s();
 
     // Whole-run (per-shard) budget: kill everything, keep the journal,
     // report what is left — a resume continues from here.
     if (total_deadline > 0 && now >= total_deadline) {
-      for (const Active& a : active) ::kill(a.pid, SIGKILL);
-      for (const Active& a : active) {
+      for (const Lease& lease : leases) ::kill(lease.pid, SIGKILL);
+      for (const Lease& lease : leases) {
         int status = 0;
-        ::waitpid(a.pid, &status, 0);
-        ::unlink(a.result_path.c_str());
+        ::waitpid(lease.pid, &status, 0);
+        ::close(lease.fd);
       }
-      active.clear();
+      leases.clear();
       for (uint64_t i = 0; i < n; ++i) {
         if (state[i] == SpecState::kPending ||
             state[i] == SpecState::kRunning) {
@@ -492,110 +640,79 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
       return finish(false);
     }
 
-    // Launch workers into free slots (respecting retry backoff).
-    bool progressed = false;
-    for (uint64_t i = 0;
-         i < n && static_cast<int>(active.size()) < max_workers &&
-         pending > 0;
-         ++i) {
-      if (state[i] != SpecState::kPending || ready_at[i] > now) continue;
-      Active a;
-      a.spec = i;
-      a.attempt = attempts[i];
-      a.result_path = dir_ + "/worker-" + std::to_string(i) + "-" +
-                      std::to_string(a.attempt) + ".res";
-      a.pid = ::fork();
-      if (a.pid < 0) {
-        CF_LOG_ERROR("supervisor: fork failed: %s", std::strerror(errno));
-        ready_at[i] = now + 0.1;
-        continue;
+    // Lease the pending specs that are past their backoff to the free
+    // worker slots. Whole program groups (the specs of one ProgramKey) are
+    // dealt round-robin, in order of first appearance: no program is
+    // calibrated twice, and a grid that clusters its expensive points
+    // still splits evenly, as shard_owns strides shards.
+    if (leases.size() < max_workers) {
+      std::vector<std::vector<uint64_t>> deal(max_workers - leases.size());
+      std::map<ProgramKey, size_t> group;
+      for (const uint64_t i : pending) {
+        if (ready_at[i] > now) continue;
+        const size_t g =
+            group.try_emplace(program_key(grid_->specs()[i]), group.size())
+                .first->second;
+        deal[g % deal.size()].push_back(i);
       }
-      if (a.pid == 0) worker_main(*grid_, i, a.attempt, crash, a.result_path);
-      a.deadline =
-          options_.spec_timeout_s > 0 ? now + options_.spec_timeout_s : 0.0;
-      state[i] = SpecState::kRunning;
-      --pending;
-      active.push_back(std::move(a));
-      progressed = true;
+      for (std::vector<uint64_t>& specs : deal) {
+        if (!specs.empty()) start_lease(std::move(specs));
+      }
     }
 
-    // SIGKILL workers past their per-spec deadline; the reap below sees
-    // the signal and books the attempt as a timeout.
+    // Block until a worker streams bytes or closes its stream, or until
+    // the nearest deadline: a spec's, a backoff's, or the whole run's.
+    double wake = total_deadline;
+    const auto sooner = [&](double t) {
+      if (t > 0 && (wake <= 0 || t < wake)) wake = t;
+    };
+    for (const Lease& lease : leases) sooner(lease.deadline);
+    if (leases.size() < max_workers) {
+      for (const uint64_t i : pending) sooner(ready_at[i]);
+    }
+    std::vector<pollfd> fds;
+    for (const Lease& lease : leases) fds.push_back({lease.fd, POLLIN, 0});
+    int timeout_ms = -1;
+    if (wake > 0) {
+      timeout_ms = static_cast<int>(std::clamp(
+          std::ceil((wake - now_s()) * 1e3), 0.0, 86400e3));
+    }
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
+      CF_LOG_ERROR("supervisor: poll failed: %s", std::strerror(errno));
+    }
+
+    // Take what each worker sent; a closed stream means it exited or died.
+    for (size_t k = leases.size(); k-- > 0;) {
+      if (fds[k].revents == 0) continue;
+      Lease& lease = leases[k];
+      char buf[1 << 16];
+      const ssize_t got = ::read(lease.fd, buf, sizeof(buf));
+      if (got > 0) {
+        lease.stream.append(buf, static_cast<size_t>(got));
+        // A killed worker's late records are not accepted: its spec in
+        // flight is charged.
+        if (!lease.garbled && !lease.timed_out) accept(lease);
+      } else if (got == 0 || errno != EINTR) {
+        reap(lease);
+        leases.erase(leases.begin() + static_cast<long>(k));
+      }
+    }
+
+    // SIGKILL workers whose spec in flight overran its deadline; the reap
+    // on their stream's end books the attempt as a timeout.
     now = now_s();
-    for (Active& a : active) {
-      if (a.deadline > 0 && now >= a.deadline && !a.timed_out) {
-        a.timed_out = true;
+    for (Lease& lease : leases) {
+      if (lease.deadline > 0 && now >= lease.deadline) {
+        lease.timed_out = true;
+        lease.deadline = 0.0;
         CF_LOG_WARN("supervisor: spec %llu overran its %.1fs budget "
                     "(attempt %u); SIGKILLing worker %d",
-                    static_cast<unsigned long long>(a.spec),
-                    options_.spec_timeout_s, a.attempt + 1,
-                    static_cast<int>(a.pid));
-        ::kill(a.pid, SIGKILL);
+                    static_cast<unsigned long long>(lease.specs[lease.next]),
+                    options_.spec_timeout_s,
+                    attempts[lease.specs[lease.next]] + 1,
+                    static_cast<int>(lease.pid));
+        ::kill(lease.pid, SIGKILL);
       }
-    }
-
-    // Reap finished workers.
-    for (size_t k = 0; k < active.size();) {
-      Active& a = active[k];
-      int status = 0;
-      const pid_t r = ::waitpid(a.pid, &status, WNOHANG);
-      if (r == 0) {
-        ++k;
-        continue;
-      }
-      progressed = true;
-      const bool ok = r == a.pid && WIFEXITED(status) &&
-                      WEXITSTATUS(status) == 0 &&
-                      read_worker_result(a.result_path, &results[a.spec]);
-      ::unlink(a.result_path.c_str());
-      attempts[a.spec] = a.attempt + 1;
-      if (ok) {
-        state[a.spec] = SpecState::kDone;
-        ++report.executed;
-        if (!journal.append(encode_journal_row(
-                a.spec, a.attempt, encode_result(results[a.spec])))) {
-          // The result is still in memory; only resumability degrades.
-          CF_LOG_ERROR("supervisor: journal append failed: %s",
-                       std::strerror(errno));
-        }
-      } else {
-        QuarantineRow row;
-        row.spec_index = a.spec;
-        row.attempts = a.attempt + 1;
-        row.timed_out = a.timed_out;
-        row.exit_status =
-            (r == a.pid && WIFEXITED(status)) ? WEXITSTATUS(status) : -1;
-        row.term_signal =
-            (r == a.pid && WIFSIGNALED(status)) ? WTERMSIG(status) : 0;
-        const std::string why = describe_failure(row);
-        if (static_cast<int>(row.attempts) >= max_attempts) {
-          CF_LOG_WARN("supervisor: spec %llu %s on attempt %u/%d — "
-                      "quarantined as poison; the sweep continues "
-                      "without it",
-                      static_cast<unsigned long long>(a.spec), why.c_str(),
-                      row.attempts, max_attempts);
-          quarantine(row);
-        } else {
-          const uint32_t shift = std::min(a.attempt, 20u);
-          const double backoff =
-              std::min(options_.backoff_max_s,
-                       options_.backoff_base_s *
-                           static_cast<double>(uint64_t{1} << shift));
-          CF_LOG_WARN("supervisor: spec %llu %s on attempt %u/%d; "
-                      "retrying in %.2fs",
-                      static_cast<unsigned long long>(a.spec), why.c_str(),
-                      row.attempts, max_attempts, backoff);
-          ready_at[a.spec] = now_s() + backoff;
-          state[a.spec] = SpecState::kPending;
-          ++pending;
-          ++report.retries;
-        }
-      }
-      active.erase(active.begin() + static_cast<long>(k));
-    }
-
-    if (!progressed) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
 

@@ -14,18 +14,24 @@
 /// layer covers the process itself dying — a crashed, hung or OOM-killed
 /// worker must cost one cell's worth of retries, never the campaign.
 ///
-/// The supervisor forks one worker per spec, enforces per-spec and
-/// whole-run wall-clock deadlines (SIGKILL on overrun), retries failed
-/// work with exponential backoff, and quarantines poison specs: a spec
-/// that kills its worker `max_attempts` times is skipped, recorded in a
+/// The supervisor leases the pending specs to forked workers, dealing
+/// whole program groups (specs that share one calibrated program)
+/// round-robin over the free worker slots.
+/// A worker streams one checksummed record per finished spec down a
+/// pipe, and the supervisor journals each as it arrives. A worker that
+/// crashes, overruns its per-spec deadline (SIGKILL; the deadline
+/// restarts at every record) or streams garbage is charged to the one
+/// spec in flight; the specs after it go back to pending unchanged. Failed
+/// specs are retried with exponential backoff, and a poison spec that
+/// kills its worker `max_attempts` times is skipped, recorded in a
 /// checksummed quarantine manifest with its exit status/signal, and the
-/// sweep completes without it. Progress is journaled through an
-/// append-only run journal (journal, manifest and worker result file are
-/// all record logs, exp/record_log.hpp), so a supervisor that is itself
-/// SIGKILLed mid-run resumes by re-running only the unfinished specs —
-/// and, because journaled results are the workers' own encode_result
-/// bytes, the finished table is bit-identical to an uninterrupted
-/// single-process run.
+/// sweep completes without it. Workers die with the supervisor. The
+/// journal, the manifest and the worker stream are all record logs
+/// (exp/record_log.hpp), so a supervisor that is itself SIGKILLed mid-run
+/// resumes by re-running only the unfinished specs — and, because
+/// journaled results are the workers' own encode_result bytes, the
+/// finished table is bit-identical to an uninterrupted single-process
+/// run.
 ///
 /// The same journal is the fleet protocol: its header pins the grid
 /// digest and the partition i/N it owns (0/1 for a supervisor), a
@@ -34,8 +40,8 @@
 ///
 /// Failure testing is deterministic: CUTTLEFISH_CRASH_AT=<spec>:<mode>
 /// (modes abort | kill | hang | exit, optional :N = first N attempts
-/// only) makes the worker for that spec index kill itself, mirroring the
-/// op-indexed FaultSchedule of the in-process fault layer.
+/// only) makes the worker kill itself when it reaches that spec index,
+/// mirroring the op-indexed FaultSchedule of the in-process fault layer.
 namespace cuttlefish::exp {
 
 /// Journal / manifest filenames inside the journal directory.
@@ -70,12 +76,14 @@ std::optional<CrashSpec> parse_crash_spec(const std::string& text,
                                           std::string* error);
 
 struct SupervisorOptions {
-  /// Concurrently forked workers (each runs one spec at a time).
+  /// Concurrently forked workers (each runs one lease of specs in order).
   int max_workers = 1;
   /// Attempts before a spec is quarantined as poison (K in the docs).
   int max_attempts = 3;
-  /// Per-spec wall-clock budget; an overrunning worker is SIGKILLed and
-  /// the attempt counts as a timeout failure. <= 0 disables.
+  /// Per-spec wall-clock budget, counted from the lease's start or its
+  /// last accepted record; an overrunning worker is SIGKILLed and the
+  /// attempt of its spec in flight counts as a timeout failure. <= 0
+  /// disables.
   double spec_timeout_s = 300.0;
   /// Whole-run (per-shard) wall-clock budget: on overrun every active
   /// worker is SIGKILLed and the run returns incomplete — the journal
@@ -93,7 +101,7 @@ struct SupervisorOptions {
 /// One quarantined (or failed) spec, as recorded in the manifest.
 struct QuarantineRow {
   uint64_t spec_index = 0;
-  uint32_t attempts = 0;   // worker launches consumed by this spec
+  uint32_t attempts = 0;   // failed attempts charged to this spec
   bool timed_out = false;  // last failure was a per-spec deadline SIGKILL
   int exit_status = -1;    // WEXITSTATUS when the worker exited; else -1
   int term_signal = 0;     // WTERMSIG when the worker was signaled; else 0
@@ -107,6 +115,7 @@ struct SupervisorReport {
   size_t resumed = 0;  // specs served from the journal of a prior run
   size_t executed = 0; // specs a worker finished this invocation
   size_t retries = 0;  // failed attempts that were retried
+  size_t launches = 0; // workers forked (one per lease)
   std::vector<QuarantineRow> quarantined;
   /// Specs abandoned pending (total_timeout_s overrun); resumable.
   std::vector<uint64_t> unfinished;

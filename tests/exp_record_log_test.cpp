@@ -1,17 +1,19 @@
 // The record log (exp/record_log.hpp), the one framing under every
 // on-disk sweep artifact, and the decoders layered on it:
 //  * framing round trips, torn tails, whole-file rules and version
-//    rejection;
+//    rejection, and the incremental reader a supervised worker's pipe is
+//    fed through;
 //  * failure atomicity under a lowered RLIMIT_FSIZE: a failed append is
 //    rolled back so the appends after it stay reachable, and a failed
 //    whole-file write leaves neither a temp file nor a changed
 //    destination;
 //  * a deterministic mutation fuzzer (fixed seeds; bit-flip, truncate,
 //    splice and duplicate-record mutations) over the log scan, the
-//    journal, manifest and cache-record payload decoders, and
-//    decode_result. Whatever a mutated file yields must be byte-equal to
-//    something that was written, and a whole-file kind must reject every
-//    mutated file.
+//    incremental reader (the same bytes cut at random chunk boundaries
+//    must yield exactly the one-shot scan's records), the journal,
+//    manifest and cache-record payload decoders, and decode_result.
+//    Whatever a mutated file yields must be byte-equal to something that
+//    was written, and a whole-file kind must reject every mutated file.
 
 #include "exp/record_log.hpp"
 
@@ -171,6 +173,46 @@ TEST(RecordLog, HeaderFailuresNameTheFileAndTheCause) {
   EXPECT_FALSE(scan_log("/nonexistent/j.bin", LogKind::kJournal, 32).present);
 }
 
+TEST(RecordLog, ReaderFramesEachRecordWhenItsLastByteArrives) {
+  std::string log = log_header(LogKind::kWorkerResult, {});
+  const size_t header = log.size();
+  append_record(&log, "first");
+  const size_t first_end = log.size();
+  append_record(&log, "second");
+
+  LogReader reader(LogKind::kWorkerResult, 0, "pipe");
+  std::vector<std::string> got;
+  for (size_t n = 1; n <= log.size(); ++n) {
+    for (const LogRecord& r : reader.read(std::string_view(log).substr(0, n))) {
+      got.push_back(log.substr(r.offset, r.size));
+    }
+    EXPECT_EQ(reader.has_header(), n >= header) << n;
+    // A record is framed exactly when its last byte arrives.
+    EXPECT_EQ(got.size(), size_t{n >= first_end} + size_t{n == log.size()})
+        << n;
+    EXPECT_TRUE(reader.ok());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(reader.consumed(), log.size());
+
+  // A complete record that fails its checksum stops the reader for good;
+  // nothing after it is framed.
+  std::string bad = log;
+  bad[first_end - 1] ^= 0x01;
+  LogReader stopped(LogKind::kWorkerResult, 0, "pipe");
+  EXPECT_TRUE(stopped.read(bad).empty());
+  EXPECT_FALSE(stopped.ok());
+  EXPECT_TRUE(stopped.error().empty());  // the header was fine
+  EXPECT_EQ(stopped.consumed(), header);
+  EXPECT_TRUE(stopped.read(bad + log.substr(first_end)).empty());
+
+  // A foreign header is refused as soon as its tag arrives.
+  LogReader foreign(LogKind::kJournal, 0, "pipe");
+  foreign.read(std::string_view(log).substr(0, 8));
+  EXPECT_FALSE(foreign.ok());
+  EXPECT_NE(foreign.error().find("bad magic"), std::string::npos);
+}
+
 // ---- failure atomicity -----------------------------------------------------
 
 TEST(RecordLog, FailedAppendIsRolledBackAndLaterAppendsSurvive) {
@@ -311,6 +353,56 @@ TEST(RecordLogFuzz, ScanAcceptsOnlyWrittenRecords) {
         }
         for (const LogRecord& r : scan.records) {
           EXPECT_EQ(written.count(std::string(scan.payload(r))), 1u)
+              << "seed " << seed << " step " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(RecordLogFuzz, ChunkedReaderAcceptsExactlyWhatTheScanAccepts) {
+  const auto spans_of = [](const std::vector<LogRecord>& records) {
+    std::vector<std::pair<uint64_t, uint32_t>> spans;
+    for (const LogRecord& r : records) spans.emplace_back(r.offset, r.size);
+    return spans;
+  };
+  for (const LogKind kind : {LogKind::kWorkerResult, LogKind::kCacheShard}) {
+    std::set<std::string> written;
+    std::string log = log_header(kind, std::string(8, 'p'));
+    for (int i = 0; i < 6; ++i) {
+      const std::string payload(static_cast<size_t>(i * 7), 'a' + i);
+      written.insert(payload);
+      append_record(&log, payload);
+    }
+    const auto spans = framed_spans(parse_log(log, kind, 8, "fuzz"));
+    for (const uint64_t seed : kSeeds) {
+      Mutator mutator(seed, spans);
+      std::mt19937_64 chunks(seed);
+      for (int i = 0; i < kMutationsPerSeed; ++i) {
+        // The unmutated log first, then its mutations.
+        const std::string data = i == 0 ? log : mutator.mutate(log);
+        const LogScan scan = parse_log(data, kind, 8, "fuzz");
+        LogReader reader(kind, 8, "fuzz");
+        std::vector<LogRecord> read;
+        for (size_t end = 0; end < data.size();) {
+          end = std::min(data.size(), end + 1 + chunks() % 40);
+          for (const LogRecord& r :
+               reader.read(std::string_view(data).substr(0, end))) {
+            read.push_back(r);
+          }
+        }
+        EXPECT_EQ(spans_of(read), spans_of(scan.records))
+            << "seed " << seed << " step " << i;
+        EXPECT_EQ(reader.has_header(), scan.valid)
+            << "seed " << seed << " step " << i;
+        if (scan.valid) {
+          EXPECT_EQ(reader.consumed(), scan.good_bytes);
+        }
+        if (!reader.error().empty()) {
+          EXPECT_EQ(reader.error(), scan.error);
+        }
+        for (const LogRecord& r : read) {
+          EXPECT_EQ(written.count(data.substr(r.offset, r.size)), 1u)
               << "seed " << seed << " step " << i;
         }
       }
