@@ -98,9 +98,11 @@ double virtual_seconds(const std::vector<exp::RunResult>& results) {
 
 /// FNV-1a over the raw bits of every run's scalar results and every
 /// aggregated summary value: any reordering- or race-induced drift in any
-/// bit of any double shows up as a digest mismatch.
+/// bit of any double shows up as a digest mismatch. Cells flagged in
+/// `missing` (quarantined specs) stay out of the summaries.
 uint64_t digest(const exp::SweepGrid& grid,
-                const std::vector<exp::RunResult>& results) {
+                const std::vector<exp::RunResult>& results,
+                const std::vector<uint8_t>& missing = {}) {
   uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](const void* p, size_t n) {
     const auto* bytes = static_cast<const unsigned char*>(p);
@@ -115,7 +117,7 @@ uint64_t digest(const exp::SweepGrid& grid,
     mix_d(r.energy_j);
     mix(&r.instructions, sizeof(r.instructions));
   }
-  for (const auto& s : exp::summarize(grid, results)) {
+  for (const auto& s : exp::summarize(grid, results, missing)) {
     for (const exp::ValueAggregate* a :
          {&s.time_s, &s.energy_j, &s.edp, &s.energy_savings_pct,
           &s.slowdown_pct, &s.edp_savings_pct}) {
@@ -362,17 +364,16 @@ int run_supervised_mode(const exp::SweepGrid& grid,
   const double t1 = now_s();
   const std::vector<exp::RunResult> serial = exp::run_sweep(grid, nullptr);
   const double serial_wall = now_s() - t1;
+  // Every cell a worker produced must be byte-identical to the serial
+  // run; quarantined cells are intentionally absent (left zeroed), so
+  // the supervised digest summarises without them.
+  const std::vector<uint8_t> quarantined =
+      report.quarantine_mask(grid.size());
   const std::string serial_hex = digest_hex(digest(grid, serial));
-  const std::string supervised_hex = digest_hex(digest(grid, supervised));
+  const std::string supervised_hex =
+      digest_hex(digest(grid, supervised, quarantined));
   std::printf("  serial:     %7.3fs wall, digest %s\n", serial_wall,
               serial_hex.c_str());
-
-  // Every cell a worker produced must be byte-identical to the serial
-  // run; quarantined cells are intentionally absent (left zeroed).
-  std::vector<uint8_t> quarantined(grid.size(), 0);
-  for (const exp::QuarantineRow& row : report.quarantined) {
-    if (row.spec_index < grid.size()) quarantined[row.spec_index] = 1;
-  }
   size_t mismatched = 0;
   for (size_t i = 0; i < grid.size(); ++i) {
     if (quarantined[i]) continue;

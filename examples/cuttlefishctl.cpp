@@ -887,21 +887,47 @@ int cmd_sweep_run(int argc, char** argv, bool resume) {
   const exp::SpecDigest table_digest =
       exp::digest_bytes(all_bytes.data(), all_bytes.size());
   std::printf("  complete: table digest %s%s\n", table_digest.hex().c_str(),
-              report.quarantined.empty() ? "" : " (with quarantined cells "
-                                               "default-constructed)");
+              report.quarantined.empty()
+                  ? ""
+                  : " (quarantined cells hashed default-constructed; the "
+                    "summary leaves them and their baseline pairs out)");
 
-  const auto summaries = exp::summarize(grid, results);
-  std::printf("  %-22s %10s %12s %14s\n", "point", "time(s)", "energy(J)",
-              "EDP savings %");
+  // A point that lost replicates or baseline pairs to quarantine says so
+  // in the last column: "runs present/reps" and "pairs present/reps".
+  const auto summaries = exp::summarize(
+      grid, results, report.quarantine_mask(grid.size()));
+  std::printf("  %-22s %10s %12s %14s  %s\n", "point", "time(s)",
+              "energy(J)", "EDP savings %", "partial");
   for (size_t p = 0; p < summaries.size(); ++p) {
     const auto& s = summaries[p];
-    std::printf("  %-22s %10.2f %12.1f %14s\n",
-                grid.points()[p].label.c_str(), s.time_s.mean,
-                s.energy_j.mean,
-                s.has_baseline
-                    ? std::to_string(s.edp_savings_pct.mean).substr(0, 6)
-                          .c_str()
-                    : "-");
+    const int reps = grid.points()[p].reps;
+    const bool runs_whole = s.time_s.n == reps;
+    const bool pairs_whole =
+        !s.has_baseline || s.edp_savings_pct.n == reps;
+    char time_s[16] = "quarantined";
+    char energy_j[16] = "-";
+    char savings[16] = "-";
+    if (s.time_s.n > 0) {
+      std::snprintf(time_s, sizeof(time_s), "%.2f", s.time_s.mean);
+      std::snprintf(energy_j, sizeof(energy_j), "%.1f", s.energy_j.mean);
+    }
+    if (s.has_baseline && s.edp_savings_pct.n > 0) {
+      std::snprintf(savings, sizeof(savings), "%.3f",
+                    s.edp_savings_pct.mean);
+    }
+    std::string partial;
+    if (!runs_whole) {
+      partial += "  runs " + std::to_string(s.time_s.n) + "/" +
+                 std::to_string(reps);
+    }
+    if (!pairs_whole) {
+      partial += (runs_whole ? "  pairs " : ", pairs ") +
+                 std::to_string(s.edp_savings_pct.n) + "/" +
+                 std::to_string(reps);
+    }
+    std::printf("  %-22s %10s %12s %14s%s\n",
+                grid.points()[p].label.c_str(), time_s, energy_j, savings,
+                partial.c_str());
   }
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,5 +109,14 @@ class IArbiter {
 ///    the grants identically — every tenant computes the same division.
 std::vector<double> allocate(SharePolicy policy, double budget_w,
                              const std::vector<double>& demands_w);
+
+/// In-place form of allocate(), the one arithmetic both share: writes the
+/// grants into `*grants_w` (resized to the demand count) and uses `*open`
+/// as the water-filling work list. Both buffers are caller-owned, so a
+/// caller that keeps them across calls allocates nothing once they have
+/// grown to its tenant count (LocalArbiter's per-publish path).
+void allocate(SharePolicy policy, double budget_w,
+              std::span<const double> demands_w,
+              std::vector<double>* grants_w, std::vector<size_t>* open);
 
 }  // namespace cuttlefish::arbiter

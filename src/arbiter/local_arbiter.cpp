@@ -3,7 +3,11 @@
 namespace cuttlefish::arbiter {
 
 LocalArbiter::LocalArbiter(ArbiterConfig config, int slots)
-    : config_(config), slots_(static_cast<size_t>(slots > 0 ? slots : 1)) {}
+    : config_(config), slots_(static_cast<size_t>(slots > 0 ? slots : 1)) {
+  demands_.reserve(slots_.size());
+  grants_.reserve(slots_.size());
+  open_.reserve(slots_.size());
+}
 
 int LocalArbiter::attach() {
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -37,22 +41,16 @@ size_t LocalArbiter::active_tenants() const {
 }
 
 Grant LocalArbiter::grant_for(int for_slot) const {
-  std::vector<double> demands;
-  std::vector<int> owners;
-  demands.reserve(slots_.size());
+  demands_.clear();
+  size_t mine = slots_.size();
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].used) continue;
-    demands.push_back(slots_[i].demand.watts);
-    owners.push_back(static_cast<int>(i));
+    if (static_cast<int>(i) == for_slot) mine = demands_.size();
+    demands_.push_back(slots_[i].demand.watts);
   }
-  const std::vector<double> grants =
-      allocate(config_.policy, config_.budget_w, demands);
-  for (size_t k = 0; k < owners.size(); ++k) {
-    if (owners[k] == for_slot) {
-      return Grant{grants[k], grants[k] < demands[k] - 1e-12};
-    }
-  }
-  return Grant{};
+  if (mine == slots_.size()) return Grant{};
+  allocate(config_.policy, config_.budget_w, demands_, &grants_, &open_);
+  return Grant{grants_[mine], grants_[mine] < demands_[mine] - 1e-12};
 }
 
 std::vector<SlotView> LocalArbiter::view() const {

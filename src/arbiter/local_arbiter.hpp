@@ -36,11 +36,16 @@ class LocalArbiter final : public IArbiter {
   };
 
   /// Run allocate() over the occupied slots; returns the grant for
-  /// `for_slot`.
+  /// `for_slot`. Allocation-free: it works in the scratch buffers below.
   Grant grant_for(int for_slot) const;
 
   ArbiterConfig config_;
   std::vector<Slot> slots_;
+  // grant_for's working set, sized to the slot table at construction.
+  // Mutable scratch is sound because the arbiter is single-threaded.
+  mutable std::vector<double> demands_;
+  mutable std::vector<double> grants_;
+  mutable std::vector<size_t> open_;
 };
 
 }  // namespace cuttlefish::arbiter

@@ -31,12 +31,11 @@ namespace {
 /// that share are satisfied exactly and leave the pool, raising the share
 /// for the rest. Terminates in at most n rounds; order-equivariant
 /// because rounds depend only on the multiset of demands.
-std::vector<double> equal_share(double budget_w,
-                                const std::vector<double>& demands_w) {
-  std::vector<double> grants(demands_w.size(), 0.0);
-  std::vector<size_t> open;
-  open.reserve(demands_w.size());
+void equal_share(double budget_w, std::span<const double> demands_w,
+                 double* grants, std::vector<size_t>& open) {
+  open.clear();
   for (size_t i = 0; i < demands_w.size(); ++i) {
+    grants[i] = 0.0;
     if (demands_w[i] > 0.0) open.push_back(i);
   }
   double remaining = budget_w;
@@ -62,36 +61,48 @@ std::vector<double> equal_share(double budget_w,
       break;
     }
   }
-  return grants;
 }
 
-std::vector<double> demand_weighted(double budget_w,
-                                    const std::vector<double>& demands_w) {
-  const double total =
-      std::accumulate(demands_w.begin(), demands_w.end(), 0.0);
-  std::vector<double> grants(demands_w.size(), 0.0);
-  if (total <= 0.0) return grants;
+/// Only reached over-subscribed, so `total` > budget_w > 0.
+void demand_weighted(double budget_w, double total,
+                     std::span<const double> demands_w, double* grants) {
   const double scale = budget_w / total;
   for (size_t i = 0; i < demands_w.size(); ++i) {
     grants[i] = demands_w[i] * scale;
   }
-  return grants;
 }
 
 }  // namespace
 
-std::vector<double> allocate(SharePolicy policy, double budget_w,
-                             const std::vector<double>& demands_w) {
+void allocate(SharePolicy policy, double budget_w,
+              std::span<const double> demands_w,
+              std::vector<double>* grants_w, std::vector<size_t>* open) {
   const double total =
       std::accumulate(demands_w.begin(), demands_w.end(), 0.0);
+  grants_w->resize(demands_w.size());
+  double* grants = grants_w->data();
   // Uncapped plane, or enough budget for everyone: grants echo demands.
-  if (budget_w <= 0.0 || total <= budget_w) return demands_w;
-  switch (policy) {
-    case SharePolicy::kEqualShare: return equal_share(budget_w, demands_w);
-    case SharePolicy::kDemandWeighted:
-      return demand_weighted(budget_w, demands_w);
+  if (budget_w <= 0.0 || total <= budget_w) {
+    std::copy(demands_w.begin(), demands_w.end(), grants);
+    return;
   }
-  return demands_w;
+  switch (policy) {
+    case SharePolicy::kEqualShare:
+      equal_share(budget_w, demands_w, grants, *open);
+      return;
+    case SharePolicy::kDemandWeighted:
+      demand_weighted(budget_w, total, demands_w, grants);
+      return;
+  }
+  std::copy(demands_w.begin(), demands_w.end(), grants);
+}
+
+std::vector<double> allocate(SharePolicy policy, double budget_w,
+                             const std::vector<double>& demands_w) {
+  std::vector<double> grants;
+  std::vector<size_t> open;
+  allocate(policy, budget_w, demands_w, &grants, &open);
+  return grants;
 }
 
 }  // namespace cuttlefish::arbiter

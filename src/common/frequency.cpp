@@ -33,6 +33,22 @@ Level FreqLadder::nearest_level(FreqMHz f) const {
   return (offset + step_ / 2) / step_;
 }
 
+Level FreqLadder::floor_level(double mhz) const {
+  const auto fits = [&](Level l) {
+    return static_cast<double>(min_.value + l * step_) <= mhz;
+  };
+  if (!fits(0)) return 0;  // below the ladder (or NaN)
+  const double steps = (mhz - static_cast<double>(min_.value)) / step_;
+  Level l = steps >= static_cast<double>(levels_ - 1)
+                ? levels_ - 1
+                : static_cast<Level>(steps);
+  // The division may round across a boundary; settle it with the exact
+  // predicate.
+  while (l + 1 < levels_ && fits(l + 1)) ++l;
+  while (l > 0 && !fits(l)) --l;
+  return l;
+}
+
 bool FreqLadder::contains(FreqMHz f) const {
   if (f.value < min_.value || f.value > max_.value) return false;
   return (f.value - min_.value) % step_ == 0;

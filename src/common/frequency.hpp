@@ -43,6 +43,9 @@ class FreqLadder {
   Level level_of(FreqMHz f) const;
   /// Level whose frequency is closest to `f` (clamped to the ladder).
   Level nearest_level(FreqMHz f) const;
+  /// Highest level whose frequency is <= `mhz`, or min_level() when none
+  /// is. O(1): the same level a top-down scan with that predicate finds.
+  Level floor_level(double mhz) const;
   bool contains(FreqMHz f) const;
 
   Level min_level() const { return 0; }

@@ -119,6 +119,16 @@ struct SupervisorReport {
   std::vector<QuarantineRow> quarantined;
   /// Specs abandoned pending (total_timeout_s overrun); resumable.
   std::vector<uint64_t> unfinished;
+
+  /// 1 for each quarantined spec of a `grid_size`-spec grid: the
+  /// missing-cell mask summarize() takes.
+  std::vector<uint8_t> quarantine_mask(size_t grid_size) const {
+    std::vector<uint8_t> mask(grid_size, 0);
+    for (const QuarantineRow& row : quarantined) {
+      if (row.spec_index < grid_size) mask[row.spec_index] = 1;
+    }
+    return mask;
+  }
 };
 
 /// Identity of a grid for journal/resume matching: digest over every

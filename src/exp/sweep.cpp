@@ -290,20 +290,26 @@ std::vector<std::pair<uint64_t, RunResult>> run_sweep_shard(
 
 ValueAggregate aggregate_values(const std::vector<double>& values) {
   ValueAggregate out;
+  if (values.empty()) return out;
   const Aggregate a = aggregate(values);
+  out.n = static_cast<int>(values.size());
   out.mean = a.mean;
   out.ci95 = a.ci95;
-  if (!values.empty()) {
-    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-    out.min = *lo;
-    out.max = *hi;
-  }
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  out.min = *lo;
+  out.max = *hi;
   return out;
 }
 
 std::vector<PointSummary> summarize(const SweepGrid& grid,
-                                    const std::vector<RunResult>& results) {
+                                    const std::vector<RunResult>& results,
+                                    const std::vector<uint8_t>& missing) {
   CF_ASSERT(results.size() == grid.size(), "results do not match the grid");
+  CF_ASSERT(missing.empty() || missing.size() == grid.size(),
+            "missing-cell mask does not match the grid");
+  const auto is_missing = [&missing](int spec) {
+    return !missing.empty() && missing[static_cast<size_t>(spec)] != 0;
+  };
   std::vector<PointSummary> summaries;
   summaries.reserve(grid.points().size());
   for (const SweepPoint& point : grid.points()) {
@@ -311,14 +317,16 @@ std::vector<PointSummary> summarize(const SweepGrid& grid,
     std::vector<double> time_s, energy_j, edp;
     std::vector<double> savings, slowdown, edp_savings;
     for (int rep = 0; rep < point.reps; ++rep) {
+      if (is_missing(point.first_spec + rep)) continue;
       const RunResult& r =
           results[static_cast<size_t>(point.first_spec + rep)];
       time_s.push_back(r.time_s);
       energy_j.push_back(r.energy_j);
       edp.push_back(r.edp());
       if (point.baseline_point >= 0) {
-        const RunResult& base = results[static_cast<size_t>(
-            grid.spec_index(point.baseline_point, rep))];
+        const int base_spec = grid.spec_index(point.baseline_point, rep);
+        if (is_missing(base_spec)) continue;
+        const RunResult& base = results[static_cast<size_t>(base_spec)];
         const Comparison c = compare(r, base);
         savings.push_back(c.energy_savings_pct);
         slowdown.push_back(c.slowdown_pct);

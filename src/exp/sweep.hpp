@@ -160,7 +160,10 @@ void sweep_ordered(int64_t n, const std::function<void(int64_t)>& fn,
                    runtime::TaskScheduler* scheduler);
 
 /// Mean / 95% CI half-width / min / max over a point's replicates.
+/// `n` counts the values aggregated; n == 0 (every replicate, or every
+/// baseline pair, missing) leaves the other fields zero.
 struct ValueAggregate {
+  int n = 0;
   double mean = 0.0;
   double ci95 = 0.0;
   double min = 0.0;
@@ -182,8 +185,14 @@ struct PointSummary {
 
 ValueAggregate aggregate_values(const std::vector<double>& values);
 
-/// Summarize every point of the grid from its ordered results.
+/// Summarize every point of the grid from its ordered results. Cells
+/// flagged in `missing` (indexed like the grid; empty = none) hold no
+/// result, as a supervised sweep's quarantined specs do: a missing
+/// replicate drops out of its point's aggregates, and a replicate whose
+/// paired baseline is missing drops out of the ratio aggregates. An
+/// aggregate left with no value has n == 0.
 std::vector<PointSummary> summarize(const SweepGrid& grid,
-                                    const std::vector<RunResult>& results);
+                                    const std::vector<RunResult>& results,
+                                    const std::vector<uint8_t>& missing = {});
 
 }  // namespace cuttlefish::exp

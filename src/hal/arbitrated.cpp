@@ -52,14 +52,7 @@ FreqMHz ArbitratedPlatform::clamp_core(FreqMHz f) const {
   // cube root. Snap *down* the ladder — never exceed the share.
   const double f_cap = static_cast<double>(f.value) * std::cbrt(ratio);
   const FreqLadder& ladder = inner_->core_ladder();
-  Level level = ladder.min_level();
-  for (Level l = ladder.max_level(); l >= ladder.min_level(); --l) {
-    if (static_cast<double>(ladder.at(l).value) <= f_cap + 1e-9) {
-      level = l;
-      break;
-    }
-  }
-  const FreqMHz capped = ladder.at(level);
+  const FreqMHz capped = ladder.at(ladder.floor_level(f_cap + 1e-9));
   return capped < f ? capped : f;
 }
 
@@ -167,9 +160,12 @@ void ArbitratedPlatform::publish_demand(const SensorSample& sample) {
 }
 
 bool ArbitratedPlatform::poll_grant_change(GrantChange* out) {
-  if (changes_.empty()) return false;
-  *out = changes_.front();
-  changes_.pop_front();
+  if (next_change_ == changes_.size()) return false;
+  *out = changes_[next_change_++];
+  if (next_change_ == changes_.size()) {
+    changes_.clear();
+    next_change_ = 0;
+  }
   return true;
 }
 

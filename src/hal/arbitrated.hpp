@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "arbiter/arbiter.hpp"
 #include "hal/platform.hpp"
@@ -73,7 +73,8 @@ class ArbitratedPlatform final : public PlatformInterface {
   FreqMHz requested_core_frequency() const { return requested_cf_; }
 
  private:
-  /// Grant-aware clamp of a requested core frequency.
+  /// Grant-aware clamp of a requested core frequency. O(1): the level is
+  /// computed on the inner core ladder, not scanned.
   FreqMHz clamp_core(FreqMHz f) const;
   /// Publish this interval's sample-derived demand; apply grant movement.
   void publish_demand(const SensorSample& sample);
@@ -94,7 +95,10 @@ class ArbitratedPlatform final : public PlatformInterface {
   bool have_requested_cf_ = false;
   FreqMHz requested_cf_{0};
 
-  std::deque<GrantChange> changes_;
+  // Undrained grant movements are changes_[next_change_..]; drained
+  // entries are dropped in bulk so the buffer's capacity is reused.
+  std::vector<GrantChange> changes_;
+  size_t next_change_ = 0;
 };
 
 }  // namespace cuttlefish::hal

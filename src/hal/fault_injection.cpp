@@ -103,7 +103,11 @@ FaultSchedule FaultSchedule::chaos(uint64_t seed, uint64_t horizon_ops) {
 
 FaultInjectionPlatform::FaultInjectionPlatform(PlatformInterface& inner,
                                                FaultSchedule schedule)
-    : inner_(&inner), schedule_(std::move(schedule)) {}
+    : inner_(&inner), schedule_(std::move(schedule)) {
+  for (uint8_t t = 0; t < kTargets; ++t) {
+    horizon_[t] = next_active(static_cast<Target>(t), 0);
+  }
+}
 
 const FaultWindow* FaultInjectionPlatform::match(FaultKind kind,
                                                  uint64_t op) const {
@@ -113,10 +117,43 @@ const FaultWindow* FaultInjectionPlatform::match(FaultKind kind,
   return nullptr;
 }
 
+FaultInjectionPlatform::Target FaultInjectionPlatform::target_of(
+    FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kCoreWriteError: return kCore;
+    case FaultKind::kUncoreWriteError: return kUncore;
+    case FaultKind::kSensorError:
+    case FaultKind::kSensorStuck:
+    case FaultKind::kSensorOutlier:
+    case FaultKind::kSensorWrap:
+    case FaultKind::kLatencySpike: return kSensor;
+  }
+  return kSensor;
+}
+
+uint64_t FaultInjectionPlatform::next_active(Target target,
+                                             uint64_t op) const {
+  uint64_t next = UINT64_MAX;
+  for (const FaultWindow& w : schedule_.windows()) {
+    if (target_of(w.kind) != target) continue;
+    if (w.active(op)) return op;
+    if (w.start_op > op && w.start_op < next) next = w.start_op;
+  }
+  return next;
+}
+
+bool FaultInjectionPlatform::in_window(Target target, uint64_t op) {
+  // Ops advance one at a time and the horizon is always an active op, so
+  // the first op that is not below it is exactly the horizon.
+  if (op < horizon_[target]) return false;
+  horizon_[target] = next_active(target, op + 1);
+  return true;
+}
+
 IoOutcome FaultInjectionPlatform::apply_core_frequency(FreqMHz f) {
   const uint64_t op = core_op_++;
-  if (schedule_.empty()) return inner_->apply_core_frequency(f);
-  if (match(FaultKind::kCoreWriteError, op) != nullptr) {
+  if (in_window(kCore, op) &&
+      match(FaultKind::kCoreWriteError, op) != nullptr) {
     stats_.actuator_errors += 1;
     return IoOutcome::failure(EIO);
   }
@@ -125,8 +162,8 @@ IoOutcome FaultInjectionPlatform::apply_core_frequency(FreqMHz f) {
 
 IoOutcome FaultInjectionPlatform::apply_uncore_frequency(FreqMHz f) {
   const uint64_t op = uncore_op_++;
-  if (schedule_.empty()) return inner_->apply_uncore_frequency(f);
-  if (match(FaultKind::kUncoreWriteError, op) != nullptr) {
+  if (in_window(kUncore, op) &&
+      match(FaultKind::kUncoreWriteError, op) != nullptr) {
     stats_.actuator_errors += 1;
     return IoOutcome::failure(EIO);
   }
@@ -135,9 +172,16 @@ IoOutcome FaultInjectionPlatform::apply_uncore_frequency(FreqMHz f) {
 
 SampleOutcome FaultInjectionPlatform::sample_sensors() {
   const uint64_t op = sensor_op_++;
-  // Empty-schedule fast path: a pure pass-through (no window scans, no
-  // last-good copy), so wrapping a platform "just in case" is free.
-  if (schedule_.empty()) return inner_->sample_sensors();
+  // No sensor window lies ahead (always so for an empty schedule):
+  // last_good_ can never be read again, so this is a pure pass-through.
+  if (horizon_[kSensor] == UINT64_MAX) return inner_->sample_sensors();
+  // Quiet fast path: no window is active at this op, so forward without
+  // a schedule scan, remembering the reading a later fault may repeat.
+  if (!in_window(kSensor, op)) {
+    SampleOutcome out = inner_->sample_sensors();
+    if (out.io.ok()) last_good_ = out.sample;
+    return out;
+  }
   if (const FaultWindow* w = match(FaultKind::kLatencySpike, op)) {
     stats_.latency_spikes += 1;
     std::this_thread::sleep_for(std::chrono::milliseconds(w->magnitude));

@@ -105,6 +105,12 @@ struct FaultStats {
 /// (read_sample, set_*_frequency) derive from the outcome forms, so every
 /// caller sees the same faults.
 ///
+/// Each target also keeps a quiet horizon: the next op index at which any
+/// window of its kinds can be active. Ops below it forward straight to the
+/// inner platform, so a call outside every window costs O(1) whatever the
+/// schedule's size; the schedule is scanned only when an op reaches the
+/// horizon, which then moves to the next active op.
+///
 /// `inner` is borrowed and must outlive the decorator.
 class FaultInjectionPlatform final : public PlatformInterface {
  public:
@@ -134,8 +140,18 @@ class FaultInjectionPlatform final : public PlatformInterface {
   uint64_t uncore_ops() const { return uncore_op_; }
 
  private:
+  /// The operation streams a window can target.
+  enum Target : uint8_t { kSensor, kCore, kUncore, kTargets };
+
+  static Target target_of(FaultKind kind);
   /// First active window of `kind` at `op`, or nullptr.
   const FaultWindow* match(FaultKind kind, uint64_t op) const;
+  /// The first op index >= `op` at which some window of `target`'s kinds
+  /// is active; UINT64_MAX when none ever is again.
+  uint64_t next_active(Target target, uint64_t op) const;
+  /// True when `op`, the target's next op, lies inside some window of
+  /// `target`; the horizon then moves to the next active op after it.
+  bool in_window(Target target, uint64_t op);
 
   PlatformInterface* inner_;
   FaultSchedule schedule_;
@@ -143,6 +159,7 @@ class FaultInjectionPlatform final : public PlatformInterface {
   uint64_t sensor_op_ = 0;
   uint64_t core_op_ = 0;
   uint64_t uncore_op_ = 0;
+  uint64_t horizon_[kTargets];  // no window is active below it
   SensorSample last_good_{};
 };
 

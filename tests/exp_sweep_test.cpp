@@ -18,8 +18,9 @@ bool same_bits(double a, double b) {
 }
 
 bool same_bits(const ValueAggregate& a, const ValueAggregate& b) {
-  return same_bits(a.mean, b.mean) && same_bits(a.ci95, b.ci95) &&
-         same_bits(a.min, b.min) && same_bits(a.max, b.max);
+  return a.n == b.n && same_bits(a.mean, b.mean) &&
+         same_bits(a.ci95, b.ci95) && same_bits(a.min, b.min) &&
+         same_bits(a.max, b.max);
 }
 
 ::testing::AssertionResult results_identical(
@@ -162,6 +163,85 @@ TEST(SweepEngine, SummarizePairsBaselineBySeed) {
   EXPECT_EQ(summary[2].energy_savings_pct.mean, 0.0);
   EXPECT_EQ(summary[2].slowdown_pct.mean, 0.0);
   EXPECT_EQ(summary[2].edp_savings_pct.mean, 0.0);
+}
+
+TEST(SweepEngine, SummarizeLeavesMissingCellsAndTheirPairsOut) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  SweepGrid grid(machine);
+  const auto& model = workloads::find_benchmark("SOR-irt");
+  RunOptions opt;
+  const int base = grid.add_default("base", model, opt, /*reps=*/3, 7);
+  grid.add_policy("full", model, core::PolicyKind::kFull, opt, 3, 7, base);
+  auto results = run_sweep(grid, nullptr);
+  const auto all = summarize(grid, results);
+  // An empty mask is the plain summary, bit for bit.
+  const auto unmasked = summarize(grid, results, std::vector<uint8_t>(6, 0));
+  for (size_t p = 0; p < all.size(); ++p) {
+    EXPECT_TRUE(same_bits(all[p].time_s, unmasked[p].time_s));
+    EXPECT_TRUE(same_bits(all[p].edp_savings_pct, unmasked[p].edp_savings_pct));
+  }
+
+  // A quarantined baseline replicate holds a zeroed result; comparing
+  // against it would abort on a degenerate baseline.
+  results[1] = RunResult{};
+  std::vector<uint8_t> missing(6, 0);
+  missing[1] = 1;
+  const auto masked = summarize(grid, results, missing);
+  // The baseline point summarises its two remaining replicates...
+  const auto two = aggregate_values({results[0].time_s, results[2].time_s});
+  EXPECT_TRUE(same_bits(masked[0].time_s, two));
+  // ...and the policy point keeps all three runs but only the two pairs
+  // whose baseline exists.
+  EXPECT_TRUE(same_bits(masked[1].time_s, all[1].time_s));
+  const auto pairs = aggregate_values(
+      {compare(results[3], results[0]).slowdown_pct,
+       compare(results[5], results[2]).slowdown_pct});
+  EXPECT_TRUE(same_bits(masked[1].slowdown_pct, pairs));
+  EXPECT_EQ(masked[0].time_s.n, 2);
+  EXPECT_EQ(masked[1].time_s.n, 3);
+  EXPECT_EQ(masked[1].slowdown_pct.n, 2);
+}
+
+// At one replicate per point (cuttlefishctl's default), a missing cell
+// empties every aggregate it feeds: summarize() must report n == 0 for
+// them rather than abort on an empty accumulator.
+TEST(SweepEngine, SummarizeOneReplicateWithMissingCells) {
+  const sim::MachineConfig machine = sim::haswell_2650v3();
+  SweepGrid grid(machine);
+  const auto& model = workloads::find_benchmark("SOR-irt");
+  RunOptions opt;
+  const int base = grid.add_default("base", model, opt, /*reps=*/1, 7);
+  grid.add_policy("full", model, core::PolicyKind::kFull, opt, 1, 7, base);
+  const auto results = run_sweep(grid, nullptr);
+  const auto all = summarize(grid, results);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].time_s.n, 1);
+  EXPECT_EQ(all[1].edp_savings_pct.n, 1);
+
+  // The baseline is missing: its own aggregates are empty, and so are
+  // the policy point's ratios, while the policy run itself still counts.
+  auto zeroed = results;
+  zeroed[0] = RunResult{};
+  const auto no_base = summarize(grid, zeroed, {1, 0});
+  EXPECT_EQ(no_base[0].time_s.n, 0);
+  EXPECT_EQ(no_base[0].energy_j.n, 0);
+  EXPECT_EQ(no_base[0].time_s.mean, 0.0);
+  EXPECT_TRUE(same_bits(no_base[1].time_s, all[1].time_s));
+  EXPECT_TRUE(no_base[1].has_baseline);
+  EXPECT_EQ(no_base[1].energy_savings_pct.n, 0);
+  EXPECT_EQ(no_base[1].slowdown_pct.n, 0);
+  EXPECT_EQ(no_base[1].edp_savings_pct.n, 0);
+
+  // The policy cell is missing: the baseline point is whole, the policy
+  // point has neither runs nor pairs.
+  zeroed = results;
+  zeroed[1] = RunResult{};
+  const auto no_policy = summarize(grid, zeroed, {0, 1});
+  EXPECT_TRUE(same_bits(no_policy[0].time_s, all[0].time_s));
+  EXPECT_EQ(no_policy[1].time_s.n, 0);
+  EXPECT_EQ(no_policy[1].edp.n, 0);
+  EXPECT_TRUE(no_policy[1].has_baseline);
+  EXPECT_EQ(no_policy[1].edp_savings_pct.n, 0);
 }
 
 TEST(SweepEngine, SweepOrderedPreservesIndexKeying) {
