@@ -1,6 +1,7 @@
 #include "core/controller.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -19,21 +20,71 @@ const char* to_string(PolicyKind kind) {
   return "?";
 }
 
+PolicyKind narrow_policy(PolicyKind requested, bool jpi_ok, bool can_set_cf,
+                         bool can_set_uf) {
+  if (!jpi_ok) return PolicyKind::kMonitor;
+  switch (requested) {
+    case PolicyKind::kFull:
+      if (can_set_cf && can_set_uf) return PolicyKind::kFull;
+      if (can_set_cf) return PolicyKind::kCoreOnly;
+      return can_set_uf ? PolicyKind::kUncoreOnly : PolicyKind::kMonitor;
+    case PolicyKind::kCoreOnly:
+      return can_set_cf ? PolicyKind::kCoreOnly : PolicyKind::kMonitor;
+    case PolicyKind::kUncoreOnly:
+      return can_set_uf ? PolicyKind::kUncoreOnly : PolicyKind::kMonitor;
+    case PolicyKind::kMpc:
+      return can_set_cf || can_set_uf ? PolicyKind::kMpc
+                                      : PolicyKind::kMonitor;
+    case PolicyKind::kMonitor:
+      break;
+  }
+  return PolicyKind::kMonitor;
+}
+
+namespace {
+
+/// The sensors JPI is computed from; without both, every policy monitors.
+constexpr hal::CapabilitySet kJpiSensors =
+    hal::Capability::kEnergySensor | hal::Capability::kInstructionSensor;
+
+hal::Capability actuator_of(Domain d) {
+  return d == Domain::kCore ? hal::Capability::kCoreDvfs
+                            : hal::Capability::kUncoreUfs;
+}
+
+hal::IoOutcome write_level(hal::PlatformInterface& platform, Domain d,
+                           FreqMHz f) {
+  return d == Domain::kCore ? platform.apply_core_frequency(f)
+                            : platform.apply_uncore_frequency(f);
+}
+
+/// True when `policy` adapts domain `d` (and so needs its actuator): with
+/// d's actuator alone it still narrows to a policy that acts.
+bool drives(PolicyKind policy, Domain d) {
+  return narrow_policy(policy, /*jpi_ok=*/true, d == Domain::kCore,
+                       d == Domain::kUncore) != PolicyKind::kMonitor;
+}
+
+}  // namespace
+
+Controller::DomainControl::DomainControl(Domain domain,
+                                         const FreqLadder& domain_ladder,
+                                         const ControllerConfig& cfg)
+    : ladder(domain_ladder),
+      explorer(domain_ladder, cfg.explore_step),
+      propagator(domain, cfg.revalidation),
+      health(cfg.resilience) {}
+
 Controller::Controller(hal::PlatformInterface& platform, ControllerConfig cfg)
     : platform_(&platform),
       cfg_(cfg),
       caps_(platform.capabilities()),
       effective_(cfg.policy),
       slabber_(cfg.tipi_slab_width),
-      cf_ladder_(platform.core_ladder()),
-      uf_ladder_(platform.uncore_ladder()),
-      cf_explorer_(cf_ladder_, cfg.explore_step),
-      uf_explorer_(uf_ladder_, cfg.explore_step),
-      cf_propagator_(Domain::kCore, cfg.revalidation),
-      uf_propagator_(Domain::kUncore, cfg.revalidation),
-      sensor_health_(cfg.resilience),
-      cf_health_(cfg.resilience),
-      uf_health_(cfg.resilience) {
+      domains_{{DomainControl(Domain::kCore, platform.core_ladder(), cfg),
+                DomainControl(Domain::kUncore, platform.uncore_ladder(),
+                              cfg)}},
+      sensor_health_(cfg.resilience) {
   CF_ASSERT(cfg.tinv_s > 0.0, "Tinv must be positive");
   CF_ASSERT(cfg.jpi_samples > 0, "jpi_samples must be positive");
   // One RTTI probe at construction, not per tick: grant-event plumbing
@@ -41,7 +92,17 @@ Controller::Controller(hal::PlatformInterface& platform, ControllerConfig cfg)
   if (caps_.has(hal::Capability::kArbitrated)) {
     arbitrated_ = dynamic_cast<hal::ArbitratedPlatform*>(&platform);
   }
-  apply_capabilities();
+  // Narrow the configured policy to what the backend advertises instead
+  // of refusing to start — the paper's premise is that start()/stop()
+  // works wherever the program runs. Full-capability backends pass
+  // through untouched.
+  refresh_effective();
+  note_missing_capabilities();
+  if (effective_ != cfg_.policy) {
+    CF_LOG_WARN("policy %s degraded to %s (backend capabilities: %s)",
+                to_string(cfg_.policy), to_string(effective_),
+                caps_.to_string().c_str());
+  }
 }
 
 /// Move queued arbiter grant changes into the decision trace. The
@@ -66,117 +127,42 @@ void Controller::note_degradation(Domain domain, hal::CapabilitySet lost) {
                            kNoLevel, kNoLevel, kNoLevel, lost.bits()});
 }
 
-/// Narrow the configured policy to what the backend advertises instead of
-/// refusing to start — the paper's premise is that start()/stop() works
-/// wherever the program runs. Full-capability backends pass through
-/// untouched, so simulator-backed decision traces are unchanged by this.
-void Controller::apply_capabilities() {
+/// Record each capability the requested policy needs but the backend
+/// lacks: the JPI sensors; with those present, each actuator the policy
+/// drives (uncore first); and in every case the TIPI numerator, without
+/// which every tick lands in one slab and the controller runs a
+/// single-node list rather than failing.
+void Controller::note_missing_capabilities() {
   using hal::Capability;
-  can_set_cf_ = caps_.has(Capability::kCoreDvfs);
-  can_set_uf_ = caps_.has(Capability::kUncoreUfs);
-  const bool jpi_ok = caps_.has(Capability::kEnergySensor) &&
-                      caps_.has(Capability::kInstructionSensor);
-  if (!jpi_ok && effective_ != PolicyKind::kMonitor) {
-    hal::CapabilitySet lost;
-    if (!caps_.has(Capability::kEnergySensor)) {
-      lost = lost.with(Capability::kEnergySensor);
+  const hal::CapabilitySet lost_sensors{kJpiSensors.bits() & ~caps_.bits()};
+  if (cfg_.policy != PolicyKind::kMonitor && !lost_sensors.empty()) {
+    note_degradation(Domain::kCore, lost_sensors);
+  } else {
+    for (const Domain d : {Domain::kUncore, Domain::kCore}) {
+      if (drives(cfg_.policy, d) && !domains_[d].can_set) {
+        note_degradation(d, hal::CapabilitySet{}.with(actuator_of(d)));
+      }
     }
-    if (!caps_.has(Capability::kInstructionSensor)) {
-      lost = lost.with(Capability::kInstructionSensor);
-    }
-    note_degradation(Domain::kCore, lost);
-    effective_ = PolicyKind::kMonitor;
-  }
-  // A full request keeps whichever domain is still actuatable; an
-  // explicit -Core/-Uncore request never switches to the *other* domain
-  // (the user asked for that one to stay pinned at max) — it drops
-  // straight to monitor instead. An MPC request narrows like kFull but
-  // keeps its own kind while at least one actuator remains: the strategy
-  // consults can_set_cf_/can_set_uf_ per domain itself.
-  if (effective_ == PolicyKind::kMpc) {
-    if (!can_set_uf_) {
-      note_degradation(Domain::kUncore,
-                       hal::CapabilitySet{}.with(Capability::kUncoreUfs));
-    }
-    if (!can_set_cf_) {
-      note_degradation(Domain::kCore,
-                       hal::CapabilitySet{}.with(Capability::kCoreDvfs));
-    }
-    if (!can_set_cf_ && !can_set_uf_) {
-      effective_ = PolicyKind::kMonitor;
-    }
-  } else if (effective_ == PolicyKind::kFull) {
-    if (!can_set_uf_) {
-      note_degradation(Domain::kUncore,
-                       hal::CapabilitySet{}.with(Capability::kUncoreUfs));
-    }
-    if (!can_set_cf_) {
-      note_degradation(Domain::kCore,
-                       hal::CapabilitySet{}.with(Capability::kCoreDvfs));
-    }
-    if (!can_set_cf_ && !can_set_uf_) {
-      effective_ = PolicyKind::kMonitor;
-    } else if (!can_set_uf_) {
-      effective_ = PolicyKind::kCoreOnly;
-    } else if (!can_set_cf_) {
-      effective_ = PolicyKind::kUncoreOnly;
-    }
-  } else if (effective_ == PolicyKind::kCoreOnly && !can_set_cf_) {
-    note_degradation(Domain::kCore,
-                     hal::CapabilitySet{}.with(Capability::kCoreDvfs));
-    effective_ = PolicyKind::kMonitor;
-  } else if (effective_ == PolicyKind::kUncoreOnly && !can_set_uf_) {
-    note_degradation(Domain::kUncore,
-                     hal::CapabilitySet{}.with(Capability::kUncoreUfs));
-    effective_ = PolicyKind::kMonitor;
   }
   if (!caps_.has(Capability::kTorSensor)) {
-    // TIPI's numerator reads zero: every tick lands in one slab and the
-    // controller runs a single-node list rather than failing.
     note_degradation(Domain::kCore,
                      hal::CapabilitySet{}.with(Capability::kTorSensor));
   }
-  if (effective_ != cfg_.policy) {
-    CF_LOG_WARN("policy %s degraded to %s (backend capabilities: %s)",
-                to_string(cfg_.policy), to_string(effective_),
-                caps_.to_string().c_str());
-  }
 }
 
-/// Pure re-statement of apply_capabilities()'s narrowing rules over the
-/// *runtime* device view (construction capabilities minus quarantined
-/// devices), so mid-flight quarantine re-runs exactly the same ladder:
-/// kFull -> kCoreOnly / kUncoreOnly -> kMonitor.
-PolicyKind Controller::runtime_narrowed_policy(bool jpi_ok) const {
-  if (safe_mode_ || !jpi_ok) return PolicyKind::kMonitor;
-  const PolicyKind policy = cfg_.policy;
-  if (policy == PolicyKind::kMpc) {
-    return can_set_cf_ || can_set_uf_ ? PolicyKind::kMpc
-                                      : PolicyKind::kMonitor;
-  }
-  if (policy == PolicyKind::kFull) {
-    if (!can_set_cf_ && !can_set_uf_) return PolicyKind::kMonitor;
-    if (!can_set_uf_) return PolicyKind::kCoreOnly;
-    if (!can_set_cf_) return PolicyKind::kUncoreOnly;
-    return PolicyKind::kFull;
-  }
-  if (policy == PolicyKind::kCoreOnly && !can_set_cf_) {
-    return PolicyKind::kMonitor;
-  }
-  if (policy == PolicyKind::kUncoreOnly && !can_set_uf_) {
-    return PolicyKind::kMonitor;
-  }
-  return policy;
-}
-
+/// Re-derive the actuation permissions and the effective policy from the
+/// backend's capabilities minus the quarantined devices.
 void Controller::refresh_effective() {
-  using hal::Capability;
-  can_set_cf_ = caps_.has(Capability::kCoreDvfs) && !cf_quarantined_;
-  can_set_uf_ = caps_.has(Capability::kUncoreUfs) && !uf_quarantined_;
-  const bool jpi_ok = caps_.has(Capability::kEnergySensor) &&
-                      caps_.has(Capability::kInstructionSensor) &&
-                      !sensors_quarantined_;
-  effective_ = runtime_narrowed_policy(jpi_ok);
+  for (const Domain d : kDomains) {
+    DomainControl& dom = domains_[d];
+    dom.can_set = caps_.has(actuator_of(d)) && !dom.health.quarantined();
+  }
+  const bool jpi_ok =
+      caps_.has_all(kJpiSensors) && !sensor_health_.quarantined();
+  effective_ = safe_mode_ ? PolicyKind::kMonitor
+                          : narrow_policy(cfg_.policy, jpi_ok,
+                                          domains_[Domain::kCore].can_set,
+                                          domains_[Domain::kUncore].can_set);
 }
 
 void Controller::note_quarantine(Domain domain, hal::CapabilitySet lost) {
@@ -223,44 +209,32 @@ void Controller::note_heal(Domain domain, hal::CapabilitySet regained) {
 /// level (or the maximum before any write landed) so a successful probe
 /// leaves the hardware where the controller believes it is.
 void Controller::quarantine_maintenance() {
-  using hal::Capability;
-  if (sensors_quarantined_ && sensor_health_.should_probe(stats_.ticks)) {
+  if (sensor_health_.quarantined() &&
+      sensor_health_.should_probe(stats_.ticks)) {
     const hal::SampleOutcome probe = platform_->sample_sensors();
     if (probe.io.failed()) {
       sensor_health_.record_failure(stats_.ticks);
     } else if (sensor_health_.record_success(stats_.ticks)) {
-      sensors_quarantined_ = false;
       note_heal(Domain::kCore,
                 caps_ & hal::CapabilitySet::all_sensors());
     }
   }
-  if (cf_quarantined_ && cf_health_.should_probe(stats_.ticks)) {
-    const Level level =
-        set_cf_ != kNoLevel ? set_cf_ : cf_ladder_.max_level();
-    if (platform_->apply_core_frequency(cf_ladder_.at(level)).failed()) {
-      cf_health_.record_failure(stats_.ticks);
-    } else {
-      set_cf_ = level;
-      if (cf_health_.record_success(stats_.ticks)) {
-        cf_quarantined_ = false;
-        note_heal(Domain::kCore,
-                  hal::CapabilitySet{}.with(Capability::kCoreDvfs));
-      }
-    }
+  for (const Domain d : kDomains) probe_actuator(d);
+}
+
+void Controller::probe_actuator(Domain domain) {
+  DomainControl& dom = domains_[domain];
+  if (!dom.health.quarantined() || !dom.health.should_probe(stats_.ticks)) {
+    return;
   }
-  if (uf_quarantined_ && uf_health_.should_probe(stats_.ticks)) {
-    const Level level =
-        set_uf_ != kNoLevel ? set_uf_ : uf_ladder_.max_level();
-    if (platform_->apply_uncore_frequency(uf_ladder_.at(level)).failed()) {
-      uf_health_.record_failure(stats_.ticks);
-    } else {
-      set_uf_ = level;
-      if (uf_health_.record_success(stats_.ticks)) {
-        uf_quarantined_ = false;
-        note_heal(Domain::kUncore,
-                  hal::CapabilitySet{}.with(Capability::kUncoreUfs));
-      }
-    }
+  const Level level = dom.set != kNoLevel ? dom.set : dom.ladder.max_level();
+  if (write_level(*platform_, domain, dom.ladder.at(level)).failed()) {
+    dom.health.record_failure(stats_.ticks);
+    return;
+  }
+  dom.set = level;
+  if (dom.health.record_success(stats_.ticks)) {
+    note_heal(domain, hal::CapabilitySet{}.with(actuator_of(domain)));
   }
 }
 
@@ -274,42 +248,64 @@ hal::SampleOutcome Controller::sample_with_retry() {
   return out;
 }
 
-bool Controller::try_actuate(Domain domain, Level level) {
-  using hal::Capability;
-  const bool core = domain == Domain::kCore;
-  const FreqMHz f = core ? cf_ladder_.at(level) : uf_ladder_.at(level);
-  auto write = [&] {
-    return core ? platform_->apply_core_frequency(f)
-                : platform_->apply_uncore_frequency(f);
-  };
-  hal::IoOutcome io = write();
+/// Write `level` to `domain`, retrying in-call. A write that fails after
+/// its retries leaves `set` untouched — the controller's view never
+/// silently diverges from the hardware — and feeds the health tracker
+/// instead of the trace. kUnsupported counts as accepted: a deliberately
+/// absent or masked domain is not ill health (the capability bit already
+/// reflects it).
+void Controller::actuate(Domain domain, Level level) {
+  DomainControl& dom = domains_[domain];
+  const FreqMHz f = dom.ladder.at(level);
+  hal::IoOutcome io = write_level(*platform_, domain, f);
   for (int attempt = 0;
        io.failed() && attempt < cfg_.resilience.max_retries; ++attempt) {
     stats_.io_retries += 1;
-    io = write();
+    io = write_level(*platform_, domain, f);
   }
-  hal::DeviceHealth& health = core ? cf_health_ : uf_health_;
   if (io.failed()) {
     stats_.actuator_write_errors += 1;
-    if (health.record_failure(stats_.ticks)) {
-      (core ? cf_quarantined_ : uf_quarantined_) = true;
+    if (dom.health.record_failure(stats_.ticks)) {
       note_quarantine(domain,
-                      hal::CapabilitySet{}.with(core ? Capability::kCoreDvfs
-                                                     : Capability::kUncoreUfs));
+                      hal::CapabilitySet{}.with(actuator_of(domain)));
     }
-    return false;
+    return;
   }
-  // kUnsupported counts as accepted: a deliberately absent or masked
-  // domain is not ill health (the capability bit already reflects it).
-  health.record_success(stats_.ticks);
-  return true;
+  dom.health.record_success(stats_.ticks);
+  dom.set = level;
+  stats_.freq_writes += 1;
+  if (trace_ != nullptr) {
+    trace_->record({stats_.ticks, TraceEvent::kFrequencySet, -1, domain,
+                    kNoLevel, kNoLevel, level});
+  }
+}
+
+/// Algorithm 1 lines 33-35: the levels become the ones the next interval
+/// runs at. A domain is written only when it is permitted (actuator
+/// capability present, not quarantined) and its level changed.
+void Controller::run_at(const PerDomain<Level>& levels) {
+  // Applied per domain by name, not looped over kDomains: on this
+  // per-tick path GCC keeps the loop and spills around the actuate()
+  // call, which costs the steady-state tick a few ns.
+  const auto settle = [&](Domain d) {
+    DomainControl& dom = domains_[d];
+    if (dom.can_set && levels[d] != dom.set) actuate(d, levels[d]);
+    dom.prev = levels[d];
+  };
+  settle(Domain::kCore);
+  settle(Domain::kUncore);
+}
+
+PerDomain<Level> Controller::maxima() const {
+  return {{domains_[Domain::kCore].ladder.max_level(),
+           domains_[Domain::kUncore].ladder.max_level()}};
 }
 
 ControllerSnapshot Controller::snapshot() const {
   ControllerSnapshot snap;
   snap.slab_width = cfg_.tipi_slab_width;
-  snap.cf_levels = cf_ladder_.levels();
-  snap.uf_levels = uf_ladder_.levels();
+  snap.cf_levels = domains_[Domain::kCore].ladder.levels();
+  snap.uf_levels = domains_[Domain::kUncore].ladder.levels();
   snap.jpi_samples = cfg_.jpi_samples;
   snap.nodes.reserve(list_.size());
   for (const TipiNode* node = list_.head(); node != nullptr;
@@ -325,17 +321,19 @@ ControllerSnapshot Controller::snapshot() const {
 }
 
 bool Controller::restore(const ControllerSnapshot& snap) {
+  const int cf_levels = domains_[Domain::kCore].ladder.levels();
+  const int uf_levels = domains_[Domain::kUncore].ladder.levels();
   const bool shape_ok = snap.slab_width == cfg_.tipi_slab_width &&
-                        snap.cf_levels == cf_ladder_.levels() &&
-                        snap.uf_levels == uf_ladder_.levels() &&
+                        snap.cf_levels == cf_levels &&
+                        snap.uf_levels == uf_levels &&
                         snap.jpi_samples == cfg_.jpi_samples;
   if (!shape_ok) {
     CF_LOG_WARN(
         "controller: snapshot shape mismatch (slab width %g vs %g, "
         "ladders %dx%d vs %dx%d, jpi %d vs %d); starting cold",
         snap.slab_width, cfg_.tipi_slab_width, snap.cf_levels,
-        snap.uf_levels, cf_ladder_.levels(), uf_ladder_.levels(),
-        snap.jpi_samples, cfg_.jpi_samples);
+        snap.uf_levels, cf_levels, uf_levels, snap.jpi_samples,
+        cfg_.jpi_samples);
     reset_exploration();
     return false;
   }
@@ -388,45 +386,19 @@ void Controller::begin() {
     for (const TraceRecord& rec : degradations_) trace_->record(rec);
   }
   // Algorithm 1 lines 1-2: start at the maximum frequencies.
-  set_cf_ = kNoLevel;
-  set_uf_ = kNoLevel;
-  set_frequencies(cf_ladder_.max_level(), uf_ladder_.max_level());
-  prev_cf_ = cf_ladder_.max_level();
-  prev_uf_ = uf_ladder_.max_level();
+  for (const Domain d : kDomains) domains_[d].set = kNoLevel;
+  run_at(maxima());
   last_ = platform_->sample_sensors().sample.totals();
   prev_node_ = nullptr;
 }
 
-void Controller::set_frequencies(Level cf, Level uf) {
-  // Domains without an actuator capability (or in quarantine) are
-  // skipped entirely: no write, no freq_writes accounting, no trace
-  // noise. A write that fails after its in-call retries leaves set_*
-  // untouched — the controller's view never silently diverges from the
-  // hardware — and feeds the health tracker instead of the trace.
-  if (can_set_cf_ && cf != set_cf_ && try_actuate(Domain::kCore, cf)) {
-    set_cf_ = cf;
-    stats_.freq_writes += 1;
-    if (trace_ != nullptr) {
-      trace_->record({stats_.ticks, TraceEvent::kFrequencySet, -1,
-                      Domain::kCore, kNoLevel, kNoLevel, cf});
-    }
-  }
-  if (can_set_uf_ && uf != set_uf_ && try_actuate(Domain::kUncore, uf)) {
-    set_uf_ = uf;
-    stats_.freq_writes += 1;
-    if (trace_ != nullptr) {
-      trace_->record({stats_.ticks, TraceEvent::kFrequencySet, -1,
-                      Domain::kUncore, kNoLevel, kNoLevel, uf});
-    }
-  }
-}
-
-void Controller::trace_window(TraceEvent event, const TipiNode& node,
-                              Domain domain) {
+void Controller::trace_window_init(const TipiNode& node, Domain domain) {
   if (trace_ == nullptr) return;
   const DomainState& st = domain_state(node, domain);
-  trace_->record({stats_.ticks, event, node.slab, domain, st.lb, st.rb,
-                  st.opt});
+  trace_->record({stats_.ticks,
+                  domain == Domain::kCore ? TraceEvent::kCfWindowInit
+                                          : TraceEvent::kUfWindowInit,
+                  node.slab, domain, st.lb, st.rb, st.opt});
 }
 
 void Controller::trace_opt_found(const TipiNode& node, Domain domain) {
@@ -441,128 +413,107 @@ void Controller::trace_explore(const TipiNode& node, Domain domain,
   if (trace_ == nullptr) return;
   const DomainState& st = domain_state(node, domain);
   if (result.opt_found) {
-    trace_->record({stats_.ticks, TraceEvent::kOptFound, node.slab, domain,
-                    st.lb, st.rb, st.opt});
+    trace_opt_found(node, domain);
   } else if (result.rb_lowered || result.lb_raised) {
     trace_->record({stats_.ticks, TraceEvent::kBoundTightened, node.slab,
                     domain, st.lb, st.rb, result.next});
   }
 }
 
-void Controller::start_uf_phase(TipiNode& node, Level& uf_next) {
-  // Algorithm 1 lines 20-24: CF exploration has just concluded; estimate
-  // the UF window (Algorithm 3) narrowed by the neighbours (§4.4) and
-  // start the UF descent at the window's right bound.
-  init_uf_window(node, cf_ladder_, uf_ladder_, cfg_.jpi_samples,
-                 node.cf.opt, cfg_.insertion_narrowing);
-  trace_window(TraceEvent::kUfWindowInit, node, Domain::kUncore);
-  if (node.uf.complete()) {
-    uf_propagator_.on_opt_found(node, node.uf.opt);
-    uf_next = node.uf.opt;
+/// The domain the policy explores first: UF for the uncore-only variant
+/// (the core stays pinned), CF for everything else.
+Domain Controller::primary_domain() const {
+  return effective_ == PolicyKind::kUncoreOnly ? Domain::kUncore
+                                               : Domain::kCore;
+}
+
+/// Open `domain`'s exploration window on `node` (§4.4; Algorithm 3 for
+/// UF, seeded by `cf_opt` when CF has settled) and propagate an optimum
+/// the neighbours already pin down.
+void Controller::arm_window(TipiNode& node, Domain domain,
+                            std::optional<Level> cf_opt) {
+  const FreqLadder& cf_ladder = domains_[Domain::kCore].ladder;
+  if (domain == Domain::kCore) {
+    init_cf_window(node, cf_ladder, cfg_.jpi_samples,
+                   cfg_.insertion_narrowing);
   } else {
-    uf_next = node.uf.rb;
+    init_uf_window(node, cf_ladder, domains_[Domain::kUncore].ladder,
+                   cfg_.jpi_samples, cf_opt, cfg_.insertion_narrowing);
   }
+  trace_window_init(node, domain);
+  const DomainState& st = domain_state(node, domain);
+  if (st.complete()) domains_[domain].propagator.on_opt_found(node, st.opt);
+}
+
+/// Algorithm 1 lines 20-24: CF exploration has just concluded; estimate
+/// the UF window (Algorithm 3) narrowed by the neighbours (§4.4) and
+/// start the UF descent at the window's right bound.
+Level Controller::start_uf_phase(TipiNode& node) {
+  arm_window(node, Domain::kUncore, node.cf.opt);
+  return node.uf.complete() ? node.uf.opt : node.uf.rb;
+}
+
+/// One Algorithm-2 step of `domain`'s open window on `node`, with §4.5
+/// propagation. Returns the level to run at next.
+Level Controller::explore(TipiNode& node, Domain domain, double jpi,
+                          bool record) {
+  DomainState& st = domain_state(node, domain);
+  DomainControl& dom = domains_[domain];
+  const ExploreResult res = dom.explorer.step(st, jpi, dom.prev, record);
+  if (record) stats_.samples_recorded += 1;
+  dom.propagator.apply(node, res);
+  trace_explore(node, domain, res);
+  return res.next;
+}
+
+/// The level `domain` runs at next on `node`: its optimum once found,
+/// otherwise the next exploration step.
+Level Controller::next_level(TipiNode& node, Domain domain, double jpi,
+                             bool record) {
+  const DomainState& st = domain_state(node, domain);
+  return st.complete() ? st.opt : explore(node, domain, jpi, record);
 }
 
 void Controller::run_full_policy(TipiNode& node, double jpi, bool record,
-                                 Level& cf_next, Level& uf_next) {
+                                 PerDomain<Level>& next) {
   if (!node.cf.complete()) {
     // Algorithm 1 lines 13/18: CF exploration with the uncore held at max.
-    const ExploreResult res =
-        cf_explorer_.step(node.cf, jpi, prev_cf_, record);
-    if (record) stats_.samples_recorded += 1;
-    cf_propagator_.apply(node, res);
-    trace_explore(node, Domain::kCore, res);
-    cf_next = res.next;
-    uf_next = uf_ladder_.max_level();
+    next[Domain::kCore] = explore(node, Domain::kCore, jpi, record);
     if (node.cf.complete()) {
-      cf_next = node.cf.opt;
-      start_uf_phase(node, uf_next);
+      next[Domain::kCore] = node.cf.opt;
+      next[Domain::kUncore] = start_uf_phase(node);
     }
     return;
   }
-  cf_next = node.cf.opt;
-  if (!node.uf.window_set) {
-    // CF completed through §4.5 propagation while another slab was
-    // active; the UF phase still has to be armed.
-    start_uf_phase(node, uf_next);
-    return;
-  }
-  if (!node.uf.complete()) {
-    // Algorithm 1 lines 25-27.
-    const ExploreResult res =
-        uf_explorer_.step(node.uf, jpi, prev_uf_, record);
-    if (record) stats_.samples_recorded += 1;
-    uf_propagator_.apply(node, res);
-    trace_explore(node, Domain::kUncore, res);
-    uf_next = res.next;
-    return;
-  }
-  // Algorithm 1 lines 28-31: steady state.
-  uf_next = node.uf.opt;
-}
-
-void Controller::run_core_only(TipiNode& node, double jpi, bool record,
-                               Level& cf_next, Level& uf_next) {
-  uf_next = uf_ladder_.max_level();
-  if (!node.cf.complete()) {
-    const ExploreResult res =
-        cf_explorer_.step(node.cf, jpi, prev_cf_, record);
-    if (record) stats_.samples_recorded += 1;
-    cf_propagator_.apply(node, res);
-    cf_next = res.next;
-  } else {
-    cf_next = node.cf.opt;
-  }
-}
-
-void Controller::run_uncore_only(TipiNode& node, double jpi, bool record,
-                                 Level& cf_next, Level& uf_next) {
-  cf_next = cf_ladder_.max_level();
-  if (!node.uf.complete()) {
-    const ExploreResult res =
-        uf_explorer_.step(node.uf, jpi, prev_uf_, record);
-    if (record) stats_.samples_recorded += 1;
-    uf_propagator_.apply(node, res);
-    uf_next = res.next;
-  } else {
-    uf_next = node.uf.opt;
-  }
+  next[Domain::kCore] = node.cf.opt;
+  // Algorithm 1 lines 25-31: UF exploration, then steady state. CF may
+  // have completed through §4.5 propagation while another slab was
+  // active, in which case the UF phase still has to be armed.
+  next[Domain::kUncore] =
+      node.uf.window_set ? next_level(node, Domain::kUncore, jpi, record)
+                         : start_uf_phase(node);
 }
 
 void Controller::on_node_inserted(TipiNode& node) {
   // Algorithm 1 lines 8-12: arm the exploration window of the policy's
-  // primary domain (the uncore-only variant explores UF directly with the
-  // core pinned; everything else starts with the CF descent).
-  if (effective_ == PolicyKind::kUncoreOnly) {
-    init_uf_window(node, cf_ladder_, uf_ladder_, cfg_.jpi_samples,
-                   std::nullopt, cfg_.insertion_narrowing);
-    trace_window(TraceEvent::kUfWindowInit, node, Domain::kUncore);
-    if (node.uf.complete()) {
-      uf_propagator_.on_opt_found(node, node.uf.opt);
-    }
-  } else {
-    init_cf_window(node, cf_ladder_, cfg_.jpi_samples,
-                   cfg_.insertion_narrowing);
-    trace_window(TraceEvent::kCfWindowInit, node, Domain::kCore);
-    if (node.cf.complete()) {
-      cf_propagator_.on_opt_found(node, node.cf.opt);
-    }
-  }
+  // primary domain.
+  arm_window(node, primary_domain(), std::nullopt);
 }
 
 void Controller::decide(TipiNode& node, double jpi, bool record,
-                        Level& cf_next, Level& uf_next) {
+                        PerDomain<Level>& next) {
   switch (effective_) {
     case PolicyKind::kFull:
-      run_full_policy(node, jpi, record, cf_next, uf_next);
+      run_full_policy(node, jpi, record, next);
       break;
     case PolicyKind::kCoreOnly:
-      run_core_only(node, jpi, record, cf_next, uf_next);
+    case PolicyKind::kUncoreOnly: {
+      // The -Core / -Uncore variants: the same Algorithm-2 step on one
+      // domain, the other pinned at its maximum.
+      const Domain domain = primary_domain();
+      next[domain] = next_level(node, domain, jpi, record);
       break;
-    case PolicyKind::kUncoreOnly:
-      run_uncore_only(node, jpi, record, cf_next, uf_next);
-      break;
+    }
     case PolicyKind::kMonitor:
       // Profile only: the TIPI list and telemetry fill in, but no windows
       // open and both domains stay at their (unactuated) maxima.
@@ -585,7 +536,7 @@ void Controller::tick() {
   }
   if (quarantined_domains_ > 0) {
     quarantine_maintenance();
-    if (sensors_quarantined_) {
+    if (sensor_health_.quarantined()) {
       // No usable counters: the interval is accounted idle. Probes above
       // keep testing the stack on its backoff schedule; a heal resumes
       // normal ticks from the recovery snapshot.
@@ -608,7 +559,6 @@ void Controller::tick() {
     // region boundary so its sample is discarded as a transition.
     prev_node_ = nullptr;
     if (sensor_health_.record_failure(stats_.ticks)) {
-      sensors_quarantined_ = true;
       note_quarantine(Domain::kCore,
                       caps_ & hal::CapabilitySet::all_sensors());
     }
@@ -658,21 +608,23 @@ void Controller::tick() {
   node->ticks += 1;
   if (transition) stats_.transitions += 1;
 
-  Level cf_next = cf_ladder_.max_level();
-  Level uf_next = uf_ladder_.max_level();
-  const bool record = !transition;
-  decide(*node, jpi, record, cf_next, uf_next);
-
-  // Algorithm 1 line 33-35.
-  set_frequencies(cf_next, uf_next);
+  // A negative or non-finite energy delta (a missed RAPL wrap, a
+  // corrupted read) says nothing about this interval's efficiency: like
+  // a transition sample, it is discarded rather than recorded. d_instr > 0,
+  // so JPI carries the delta's sign; NaN fails both compares, +inf the
+  // second.
+  const bool record = !transition && jpi >= 0.0 &&
+                      jpi <= std::numeric_limits<double>::max();
+  PerDomain<Level> next = maxima();
+  decide(*node, jpi, record, next);
+  run_at(next);
   prev_node_ = node;
-  prev_cf_ = cf_next;
-  prev_uf_ = uf_next;
 
   if (telemetry_ != nullptr) {
-    telemetry_->push_back(TickTelemetry{tipi, jpi, slab, transition,
-                                        cf_ladder_.at(cf_next),
-                                        uf_ladder_.at(uf_next)});
+    telemetry_->push_back(TickTelemetry{
+        tipi, jpi, slab, transition,
+        domains_[Domain::kCore].ladder.at(next[Domain::kCore]),
+        domains_[Domain::kUncore].ladder.at(next[Domain::kUncore])});
   }
 }
 

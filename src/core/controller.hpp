@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/frequency.hpp"
@@ -20,6 +22,31 @@ class ArbitratedPlatform;
 }  // namespace cuttlefish::hal
 
 namespace cuttlefish::core {
+
+/// A value per frequency domain, indexed by Domain.
+template <typename T>
+struct PerDomain {
+  std::array<T, 2> by_index;
+
+  T& operator[](Domain d) { return by_index[static_cast<size_t>(d)]; }
+  const T& operator[](Domain d) const {
+    return by_index[static_cast<size_t>(d)];
+  }
+};
+
+/// Both domains in Algorithm 1's phase order: CF first, then UF.
+inline constexpr Domain kDomains[] = {Domain::kCore, Domain::kUncore};
+
+/// The capability-narrowing rule (docs/CONTROLLERS.md): the policy a
+/// `requested` one can actually run given whether the JPI sensors work
+/// and which actuators are settable. kFull keeps whichever domain is
+/// still actuatable; kMpc keeps its own kind while any actuator remains;
+/// an explicit -Core/-Uncore request never switches to the *other*
+/// domain; everything drops to kMonitor without JPI sensors. Applied at
+/// construction to the backend's capabilities and again after every
+/// quarantine or heal to the still-healthy devices.
+PolicyKind narrow_policy(PolicyKind requested, bool jpi_ok, bool can_set_cf,
+                         bool can_set_uf);
 
 /// The Cuttlefish runtime policy (Algorithm 1) as a tick-driven engine —
 /// the `Default` registration of core/controller_factory.hpp. Thread-free
@@ -50,11 +77,9 @@ class Controller : public IController {
 
   /// The backend's capability set, read once at construction.
   hal::CapabilitySet capabilities() const override { return caps_; }
-  /// The policy actually run: config().policy narrowed to what the
-  /// backend can support (kFull degrades to kCoreOnly without uncore
-  /// control, any policy degrades to kMonitor without JPI sensors or the
-  /// needed actuator). Equal to config().policy on full-capability
-  /// backends.
+  /// The policy actually run: config().policy narrowed by
+  /// narrow_policy() to what the backend (minus quarantined devices) can
+  /// support. Equal to config().policy on full-capability backends.
   PolicyKind effective_policy() const override { return effective_; }
   /// True when effective_policy() differs from the request or a sensor
   /// loss (e.g. TOR -> single-slab TIPI) was recorded.
@@ -107,10 +132,10 @@ class Controller : public IController {
     return sensor_health_;
   }
   const hal::DeviceHealth& core_actuator_health() const override {
-    return cf_health_;
+    return domains_[Domain::kCore].health;
   }
   const hal::DeviceHealth& uncore_actuator_health() const override {
-    return uf_health_;
+    return domains_[Domain::kUncore].health;
   }
   /// True while any device is quarantined (the effective policy is then
   /// narrowed below the construction-time value).
@@ -135,50 +160,68 @@ class Controller : public IController {
 
   /// Strategy hook: pick the levels to run at until the next tick.
   /// `jpi` is the JPI measured over the elapsed interval; `record` is
-  /// false when that interval spanned a TIPI transition (Algorithm 2
-  /// line 6: such samples are discarded). `cf_next`/`uf_next` arrive
-  /// preloaded with the ladder maxima; leave them untouched to pin a
-  /// domain. The interval ran at prev_cf()/prev_uf(). The Default
-  /// implementation is the Algorithm-1/2/3 ladder descent.
+  /// false when that interval must not enter a JPI table: it spanned a
+  /// TIPI transition (Algorithm 2 line 6), or its energy delta went
+  /// negative or non-finite (a counter wrap). `next` arrives preloaded
+  /// with the ladder maxima; leave a domain untouched to pin it. The
+  /// interval ran at prev_level(). The Default implementation is the
+  /// Algorithm-1/2/3 ladder descent.
   virtual void decide(TipiNode& node, double jpi, bool record,
-                      Level& cf_next, Level& uf_next);
+                      PerDomain<Level>& next);
 
   // Read-side accessors for subclasses (the skeleton keeps ownership).
   hal::PlatformInterface& platform() { return *platform_; }
-  const FreqLadder& cf_ladder() const { return cf_ladder_; }
-  const FreqLadder& uf_ladder() const { return uf_ladder_; }
-  /// Levels the domains ran at during the interval decide() is judging.
-  Level prev_cf() const { return prev_cf_; }
-  Level prev_uf() const { return prev_uf_; }
-  /// Actuation permissions after capability narrowing and quarantine
-  /// (kFull-family policies adapt only the permitted domains).
-  bool can_set_cf() const { return can_set_cf_; }
-  bool can_set_uf() const { return can_set_uf_; }
+  const FreqLadder& ladder(Domain d) const { return domains_[d].ladder; }
+  /// Level `d` ran at during the interval decide() is judging.
+  Level prev_level(Domain d) const { return domains_[d].prev; }
+  /// Actuation permission of `d` after capability narrowing and
+  /// quarantine (kFull-family policies adapt only the permitted domains).
+  bool can_set(Domain d) const { return domains_[d].can_set; }
   /// Bump ControllerStats::samples_recorded (a sample entered a table).
   void count_sample() { stats_.samples_recorded += 1; }
   /// Trace helpers shared with subclasses.
-  void trace_window(TraceEvent event, const TipiNode& node, Domain domain);
+  void trace_window_init(const TipiNode& node, Domain domain);
   void trace_opt_found(const TipiNode& node, Domain domain);
 
  private:
-  void apply_capabilities();
+  /// Everything the skeleton keeps per frequency domain.
+  struct DomainControl {
+    DomainControl(Domain domain, const FreqLadder& domain_ladder,
+                  const ControllerConfig& cfg);
+
+    FreqLadder ladder;
+    FrequencyExplorer explorer;
+    BoundPropagator propagator;
+    /// Drives retry/quarantine; health.quarantined() is the runtime
+    /// quarantine flag.
+    hal::DeviceHealth health;
+    /// Permitted after capability narrowing and quarantine.
+    bool can_set = false;
+    /// Last level that landed on the hardware (kNoLevel before any).
+    Level set = kNoLevel;
+    /// Level the elapsed interval ran at.
+    Level prev = kNoLevel;
+  };
+
   void drain_grant_changes();
   void note_degradation(Domain domain, hal::CapabilitySet lost);
+  void note_missing_capabilities();
   void refresh_effective();
-  PolicyKind runtime_narrowed_policy(bool jpi_ok) const;
   void note_quarantine(Domain domain, hal::CapabilitySet lost);
   void note_heal(Domain domain, hal::CapabilitySet regained);
   void quarantine_maintenance();
+  void probe_actuator(Domain domain);
   hal::SampleOutcome sample_with_retry();
-  bool try_actuate(Domain domain, Level level);
+  void actuate(Domain domain, Level level);
+  void run_at(const PerDomain<Level>& levels);
+  PerDomain<Level> maxima() const;
+  Domain primary_domain() const;
+  void arm_window(TipiNode& node, Domain domain, std::optional<Level> cf_opt);
+  Level start_uf_phase(TipiNode& node);
+  Level explore(TipiNode& node, Domain domain, double jpi, bool record);
+  Level next_level(TipiNode& node, Domain domain, double jpi, bool record);
   void run_full_policy(TipiNode& node, double jpi, bool record,
-                       Level& cf_next, Level& uf_next);
-  void run_core_only(TipiNode& node, double jpi, bool record,
-                     Level& cf_next, Level& uf_next);
-  void run_uncore_only(TipiNode& node, double jpi, bool record,
-                       Level& cf_next, Level& uf_next);
-  void start_uf_phase(TipiNode& node, Level& uf_next);
-  void set_frequencies(Level cf, Level uf);
+                       PerDomain<Level>& next);
   void trace_explore(const TipiNode& node, Domain domain,
                      const ExploreResult& result);
 
@@ -190,30 +233,19 @@ class Controller : public IController {
   ControllerConfig cfg_;
   hal::CapabilitySet caps_;
   PolicyKind effective_;
-  bool can_set_cf_ = false;
-  bool can_set_uf_ = false;
   /// Capability losses found at construction, replayed into the trace by
   /// begin() (the trace sink is usually attached after construction).
   std::vector<TraceRecord> degradations_;
   TipiSlabber slabber_;
-  FreqLadder cf_ladder_;
-  FreqLadder uf_ladder_;
-  FrequencyExplorer cf_explorer_;
-  FrequencyExplorer uf_explorer_;
-  BoundPropagator cf_propagator_;
-  BoundPropagator uf_propagator_;
+  PerDomain<DomainControl> domains_;
   SortedTipiList list_;
   ControllerStats stats_;
 
-  // Fault-tolerance state (docs/FAULTS.md): per-device health, runtime
-  // quarantine flags and the exploration snapshot taken on the first
-  // quarantine so a full heal warm-restarts instead of re-exploring.
+  // Fault-tolerance state (docs/FAULTS.md): sensor health (its
+  // quarantined() flag parks the tick), the count of quarantined
+  // devices and the exploration snapshot taken on the first quarantine so
+  // a full heal warm-restarts instead of re-exploring.
   hal::DeviceHealth sensor_health_;
-  hal::DeviceHealth cf_health_;
-  hal::DeviceHealth uf_health_;
-  bool sensors_quarantined_ = false;
-  bool cf_quarantined_ = false;
-  bool uf_quarantined_ = false;
   int quarantined_domains_ = 0;
   ControllerSnapshot recovery_snap_;
   bool have_recovery_snap_ = false;
@@ -221,10 +253,6 @@ class Controller : public IController {
 
   hal::SensorTotals last_{};
   TipiNode* prev_node_ = nullptr;
-  Level prev_cf_ = kNoLevel;
-  Level prev_uf_ = kNoLevel;
-  Level set_cf_ = kNoLevel;
-  Level set_uf_ = kNoLevel;
   std::vector<TickTelemetry>* telemetry_ = nullptr;
   DecisionTrace* trace_ = nullptr;
 };

@@ -15,23 +15,23 @@ ControllerMpc::ControllerMpc(hal::PlatformInterface& platform,
             "mpc_verify_margin must be non-negative");
 }
 
-void ControllerMpc::arm(DomainState& st, const FreqLadder& ladder,
-                        const TipiNode& node, Domain domain) {
+void ControllerMpc::arm(TipiNode& node, Domain domain) {
   // MPC scores the whole ladder, so the window is always the full span;
   // lb/rb only narrate the search space in traces and snapshots.
-  st.lb = ladder.min_level();
-  st.rb = ladder.max_level();
+  const FreqLadder& lad = ladder(domain);
+  DomainState& st = domain_state(node, domain);
+  st.lb = lad.min_level();
+  st.rb = lad.max_level();
   st.opt = kNoLevel;
   st.window_set = true;
-  st.jpi = std::make_unique<JpiTable>(ladder.levels(), config().jpi_samples);
-  trace_window(domain == Domain::kCore ? TraceEvent::kCfWindowInit
-                                       : TraceEvent::kUfWindowInit,
-               node, domain);
+  st.jpi = std::make_unique<JpiTable>(lad.levels(), config().jpi_samples);
+  trace_window_init(node, domain);
 }
 
 void ControllerMpc::on_node_inserted(TipiNode& node) {
-  if (can_set_cf()) arm(node.cf, cf_ladder(), node, Domain::kCore);
-  if (can_set_uf()) arm(node.uf, uf_ladder(), node, Domain::kUncore);
+  for (const Domain d : kDomains) {
+    if (can_set(d)) arm(node, d);
+  }
 }
 
 std::vector<Level> ControllerMpc::design_levels(
@@ -120,29 +120,31 @@ Level ControllerMpc::predict(const DomainState& st,
   return best;
 }
 
-Level ControllerMpc::advance(TipiNode& node, DomainState& st,
-                             const FreqLadder& ladder, Domain domain,
-                             double jpi, Level level_prev, bool record) {
+Level ControllerMpc::advance(TipiNode& node, Domain domain, double jpi,
+                             bool record) {
+  DomainState& st = domain_state(node, domain);
+  const FreqLadder& lad = ladder(domain);
   if (!st.window_set || st.jpi == nullptr) {
     // A snapshot captured by another policy (or a pre-seam profile) can
     // hand over nodes whose domain was never armed; arm it lazily so the
     // hand-over degrades to a cold start for this domain only.
-    arm(st, ladder, node, domain);
+    arm(node, domain);
   }
+  const Level level_prev = prev_level(domain);
   if (record && level_prev != kNoLevel) {
     st.jpi->add(level_prev, jpi);
     count_sample();
   }
-  for (const Level level : design_levels(ladder)) {
+  for (const Level level : design_levels(lad)) {
     if (!st.jpi->complete(level)) return level;
   }
-  const Level predicted = predict(st, ladder);
+  const Level predicted = predict(st, lad);
   if (!st.jpi->complete(predicted)) {
     // Bounded verification probe: at most one non-design level is ever
     // measured, and only to the standard jpi_samples quota.
     return predicted;
   }
-  const Level fallback = best_design(st, ladder);
+  const Level fallback = best_design(st, lad);
   const double accept =
       (1.0 + config().mpc_verify_margin) * st.jpi->average(fallback);
   st.opt = st.jpi->average(predicted) <= accept ? predicted : fallback;
@@ -151,22 +153,20 @@ Level ControllerMpc::advance(TipiNode& node, DomainState& st,
 }
 
 void ControllerMpc::decide(TipiNode& node, double jpi, bool record,
-                           Level& cf_next, Level& uf_next) {
+                           PerDomain<Level>& next) {
   // CF first with the uncore pinned at max, then UF at the settled CF
   // optimum — Default's phase order, so CF and UF tables are measured
-  // under the same conditions as Algorithm 1 measures them.
-  if (can_set_cf() && !node.cf.complete()) {
-    cf_next = advance(node, node.cf, cf_ladder(), Domain::kCore, jpi,
-                      prev_cf(), record);
-    return;
+  // under the same conditions as Algorithm 1 measures them. Domains
+  // without an actuator stay pinned.
+  for (const Domain d : kDomains) {
+    if (!can_set(d)) continue;
+    const DomainState& st = domain_state(node, d);
+    if (!st.complete()) {
+      next[d] = advance(node, d, jpi, record);
+      return;
+    }
+    next[d] = st.opt;
   }
-  if (can_set_cf() && node.cf.complete()) cf_next = node.cf.opt;
-  if (can_set_uf() && !node.uf.complete()) {
-    uf_next = advance(node, node.uf, uf_ladder(), Domain::kUncore, jpi,
-                      prev_uf(), record);
-    return;
-  }
-  if (can_set_uf() && node.uf.complete()) uf_next = node.uf.opt;
 }
 
 }  // namespace cuttlefish::core

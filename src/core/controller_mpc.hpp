@@ -37,14 +37,12 @@ class ControllerMpc final : public Controller {
 
  protected:
   void on_node_inserted(TipiNode& node) override;
-  void decide(TipiNode& node, double jpi, bool record, Level& cf_next,
-              Level& uf_next) override;
+  void decide(TipiNode& node, double jpi, bool record,
+              PerDomain<Level>& next) override;
 
  private:
-  void arm(DomainState& st, const FreqLadder& ladder, const TipiNode& node,
-           Domain domain);
-  Level advance(TipiNode& node, DomainState& st, const FreqLadder& ladder,
-                Domain domain, double jpi, Level level_prev, bool record);
+  void arm(TipiNode& node, Domain domain);
+  Level advance(TipiNode& node, Domain domain, double jpi, bool record);
   std::vector<Level> design_levels(const FreqLadder& ladder) const;
   Level predict(const DomainState& st, const FreqLadder& ladder) const;
   Level best_design(const DomainState& st, const FreqLadder& ladder) const;

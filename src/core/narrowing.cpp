@@ -9,14 +9,6 @@
 
 namespace cuttlefish::core {
 
-DomainState& domain_state(TipiNode& node, Domain d) {
-  return d == Domain::kCore ? node.cf : node.uf;
-}
-
-const DomainState& domain_state(const TipiNode& node, Domain d) {
-  return d == Domain::kCore ? node.cf : node.uf;
-}
-
 namespace {
 
 /// Bound contributed by the nearest *informative* neighbour in the given

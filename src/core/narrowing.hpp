@@ -8,9 +8,14 @@
 
 namespace cuttlefish::core {
 
-/// Select the per-domain state of a node.
-DomainState& domain_state(TipiNode& node, Domain d);
-const DomainState& domain_state(const TipiNode& node, Domain d);
+/// Select the per-domain state of a node (inline: the controller's
+/// per-tick explore step goes through it).
+inline DomainState& domain_state(TipiNode& node, Domain d) {
+  return d == Domain::kCore ? node.cf : node.uf;
+}
+inline const DomainState& domain_state(const TipiNode& node, Domain d) {
+  return d == Domain::kCore ? node.cf : node.uf;
+}
 
 /// §4.4 (Fig. 6) — initialise the CF exploration window of a freshly
 /// inserted node. The first node gets the full ladder; later nodes narrow

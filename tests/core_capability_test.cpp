@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
+#include "common/log.hpp"
 #include "core/controller.hpp"
 #include "core/trace.hpp"
 #include "hal/backend.hpp"
+#include "hal/fault_injection.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/phase_workload.hpp"
 #include "sim/sim_machine.hpp"
@@ -209,6 +214,167 @@ TEST(CapabilityDegradation, ExplicitMonitorPolicyProfilesWithoutExploring) {
   // begin() pins both domains to max; after that no exploration writes.
   EXPECT_LE(capture.stats.freq_writes, 2u);
   EXPECT_EQ(capture.stats.samples_recorded, 0u);
+}
+
+}  // namespace
+}  // namespace cuttlefish
+
+namespace cuttlefish {
+namespace {
+
+constexpr core::PolicyKind kAllPolicies[] = {
+    core::PolicyKind::kFull, core::PolicyKind::kCoreOnly,
+    core::PolicyKind::kUncoreOnly, core::PolicyKind::kMonitor,
+    core::PolicyKind::kMpc};
+
+/// "<effective> <event>@<domain>:<aux>..." for a controller constructed
+/// for `policy` over a backend advertising exactly `caps`: the effective
+/// policy's letter (F/C/U/M/P), then every construction-time trace record
+/// begin() replays, in order (frequency writes excluded).
+std::string describe_narrowing(core::PolicyKind policy, CapabilitySet caps) {
+  static constexpr const char* kLetter = "FCUMP";
+  const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = two_slab_program();
+  sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
+  sim::SimPlatform inner(machine);
+  hal::CapabilityFilter platform(inner, caps);
+  core::ControllerConfig cfg;
+  cfg.policy = policy;
+  core::Controller controller(platform, cfg);
+  core::DecisionTrace trace(64);
+  controller.set_trace(&trace);
+  controller.begin();
+  std::string out(1, kLetter[static_cast<int>(controller.effective_policy())]);
+  for (const core::TraceRecord& rec : trace.snapshot()) {
+    if (rec.event == core::TraceEvent::kFrequencySet) continue;
+    out += " " + std::to_string(static_cast<int>(rec.event)) + "@" +
+           (rec.domain == Domain::kCore ? "c" : "u") + ":" +
+           std::to_string(rec.aux);
+  }
+  return out;
+}
+
+// Every PolicyKind x every subset of the five hardware capability bits
+// (index = CapabilitySet bits), recorded from the controller before the
+// narrowing rule was folded into one function.
+const char* const kNarrowingTable[5][32] = {
+    // kFull
+    {
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4",
+      "M 6@u:16 6@c:8 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1",
+      "M 6@u:16 6@c:8", "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4",
+      "C 6@u:16 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1", "C 6@u:16",
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "U 6@c:8 6@c:4",
+      "M 6@c:3", "M 6@c:2", "M 6@c:1", "U 6@c:8", "M 6@c:3 6@c:4",
+      "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "F 6@c:4", "M 6@c:3", "M 6@c:2",
+      "M 6@c:1", "F",
+    },
+    // kCoreOnly
+    {
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "M 6@c:8 6@c:4",
+      "M 6@c:3", "M 6@c:2", "M 6@c:1", "M 6@c:8", "M 6@c:3 6@c:4",
+      "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "C 6@c:4", "M 6@c:3", "M 6@c:2",
+      "M 6@c:1", "C", "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4",
+      "M 6@c:8 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1", "M 6@c:8",
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "C 6@c:4", "M 6@c:3",
+      "M 6@c:2", "M 6@c:1", "C",
+    },
+    // kUncoreOnly
+    {
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "M 6@u:16 6@c:4",
+      "M 6@c:3", "M 6@c:2", "M 6@c:1", "M 6@u:16", "M 6@c:3 6@c:4",
+      "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "M 6@u:16 6@c:4", "M 6@c:3",
+      "M 6@c:2", "M 6@c:1", "M 6@u:16", "M 6@c:3 6@c:4", "M 6@c:2 6@c:4",
+      "M 6@c:1 6@c:4", "U 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1", "U",
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "U 6@c:4", "M 6@c:3",
+      "M 6@c:2", "M 6@c:1", "U",
+    },
+    // kMonitor
+    {
+      "M 6@c:4", "M 6@c:4", "M 6@c:4", "M 6@c:4", "M", "M", "M", "M",
+      "M 6@c:4", "M 6@c:4", "M 6@c:4", "M 6@c:4", "M", "M", "M", "M",
+      "M 6@c:4", "M 6@c:4", "M 6@c:4", "M 6@c:4", "M", "M", "M", "M",
+      "M 6@c:4", "M 6@c:4", "M 6@c:4", "M 6@c:4", "M", "M", "M", "M",
+    },
+    // kMpc
+    {
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4",
+      "M 6@u:16 6@c:8 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1",
+      "M 6@u:16 6@c:8", "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4",
+      "P 6@u:16 6@c:4", "M 6@c:3", "M 6@c:2", "M 6@c:1", "P 6@u:16",
+      "M 6@c:3 6@c:4", "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "P 6@c:8 6@c:4",
+      "M 6@c:3", "M 6@c:2", "M 6@c:1", "P 6@c:8", "M 6@c:3 6@c:4",
+      "M 6@c:2 6@c:4", "M 6@c:1 6@c:4", "P 6@c:4", "M 6@c:3", "M 6@c:2",
+      "M 6@c:1", "P",
+    },
+};
+
+TEST(CapabilityNarrowing, EveryPolicyTimesEveryCapabilitySubsetIsPinned) {
+  set_log_level(LogLevel::kError);
+  for (size_t p = 0; p < std::size(kAllPolicies); ++p) {
+    for (uint32_t bits = 0; bits < 32; ++bits) {
+      EXPECT_EQ(describe_narrowing(kAllPolicies[p], CapabilitySet{bits}),
+                kNarrowingTable[p][bits])
+          << core::to_string(kAllPolicies[p]) << " over "
+          << CapabilitySet{bits}.to_string();
+    }
+  }
+  set_log_level(LogLevel::kInfo);
+}
+
+/// Effective policy once the device `fault` targets fails on every
+/// operation and is quarantined.
+core::PolicyKind policy_after_quarantine(core::PolicyKind policy,
+                                         hal::FaultKind fault) {
+  const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = two_slab_program();
+  sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
+  sim::SimPlatform inner(machine);
+  hal::FaultSchedule schedule;
+  schedule.add({fault, 0, 0, 0});
+  hal::FaultInjectionPlatform platform(inner, schedule);
+  core::ControllerConfig cfg;
+  cfg.policy = policy;
+  core::Controller controller(platform, cfg);
+  controller.begin();
+  for (int i = 0; i < 200 && !controller.any_quarantine(); ++i) {
+    machine.advance(cfg.tinv_s);
+    controller.tick();
+  }
+  EXPECT_TRUE(controller.any_quarantine()) << hal::to_string(fault);
+  return controller.effective_policy();
+}
+
+core::PolicyKind policy_at_construction(core::PolicyKind policy,
+                                        CapabilitySet caps) {
+  const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
+  const sim::PhaseProgram program = two_slab_program();
+  sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
+  sim::SimPlatform inner(machine);
+  hal::CapabilityFilter platform(inner, caps);
+  core::ControllerConfig cfg;
+  cfg.policy = policy;
+  return core::Controller(platform, cfg).effective_policy();
+}
+
+TEST(CapabilityNarrowing, RuntimeQuarantineMatchesConstructionWithoutDevice) {
+  set_log_level(LogLevel::kError);
+  const std::pair<hal::FaultKind, CapabilitySet> cases[] = {
+      {hal::FaultKind::kCoreWriteError,
+       CapabilitySet::all().without(Capability::kCoreDvfs)},
+      {hal::FaultKind::kUncoreWriteError,
+       CapabilitySet::all().without(Capability::kUncoreUfs)},
+      {hal::FaultKind::kSensorError,
+       CapabilitySet::all().without(Capability::kEnergySensor)},
+  };
+  for (const core::PolicyKind policy : kAllPolicies) {
+    for (const auto& [fault, caps] : cases) {
+      EXPECT_EQ(policy_after_quarantine(policy, fault),
+                policy_at_construction(policy, caps))
+          << core::to_string(policy) << " losing " << caps.to_string();
+    }
+  }
+  set_log_level(LogLevel::kInfo);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
 
 #include "core/controller.hpp"
 #include "hal/platform.hpp"
@@ -133,6 +134,37 @@ TEST(DecisionTrace, ControllerEmitsLifecycleEvents) {
   EXPECT_TRUE(saw_uf_window);
   EXPECT_TRUE(saw_opt);
   EXPECT_TRUE(saw_freq);
+}
+
+TEST(DecisionTrace, SingleDomainVariantsTraceTheirExploration) {
+  // -Core and -Uncore run the same explore step as the full policy, so
+  // their bound movements and optimum reach the trace too, always on the
+  // explored domain.
+  for (const auto& [policy, explored] :
+       {std::pair{PolicyKind::kCoreOnly, Domain::kCore},
+        std::pair{PolicyKind::kUncoreOnly, Domain::kUncore}}) {
+    TracePlatform platform;
+    ControllerConfig cfg;
+    cfg.policy = policy;
+    Controller controller(platform, cfg);
+    DecisionTrace trace(1024);
+    controller.set_trace(&trace);
+    controller.begin();
+    for (int i = 0; i < 400; ++i) {
+      platform.produce_tick(0.002);
+      controller.tick();
+    }
+    int opts = 0;
+    for (const auto& r : trace.snapshot()) {
+      if (r.event != TraceEvent::kOptFound &&
+          r.event != TraceEvent::kBoundTightened) {
+        continue;
+      }
+      EXPECT_EQ(r.domain, explored) << to_string(policy);
+      if (r.event == TraceEvent::kOptFound) ++opts;
+    }
+    EXPECT_EQ(opts, 1) << to_string(policy);
+  }
 }
 
 TEST(DecisionTrace, DisabledTraceCostsNothingAndCrashesNothing) {

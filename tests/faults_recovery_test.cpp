@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/controller.hpp"
+#include "core/controller_factory.hpp"
 #include "core/trace.hpp"
 #include "hal/fault_injection.hpp"
 #include "sim/machine_config.hpp"
@@ -43,11 +43,14 @@ struct RunCapture {
   hal::FaultStats faults;
   double machine_time_s = 0.0;
   double machine_energy_j = 0.0;
+  core::ControllerSnapshot exploration;
 };
 
-/// One full co-simulated run (warm-up + tick loop) of kFull against the
-/// sim platform, optionally wrapped in a seeded fault injector.
-RunCapture run_with_schedule(const FaultSchedule* schedule) {
+/// One full co-simulated run (warm-up + tick loop) of `policy` against
+/// the sim platform, optionally wrapped in a seeded fault injector.
+RunCapture run_with_schedule(
+    const FaultSchedule* schedule,
+    core::PolicyKind policy = core::PolicyKind::kFull) {
   const sim::MachineConfig machine_cfg = sim::haswell_2650v3();
   const sim::PhaseProgram program = two_slab_program();
   sim::SimMachine machine(machine_cfg, program, /*seed=*/7);
@@ -60,8 +63,10 @@ RunCapture run_with_schedule(const FaultSchedule* schedule) {
   }
 
   core::ControllerConfig cfg;
-  cfg.policy = core::PolicyKind::kFull;
-  core::Controller controller(*platform, cfg);
+  cfg.policy = policy;
+  const std::unique_ptr<core::IController> controller_ptr =
+      core::make_controller(*platform, cfg);
+  core::IController& controller = *controller_ptr;
   core::DecisionTrace trace(1 << 16);
   controller.set_trace(&trace);
   RunCapture capture;
@@ -85,6 +90,7 @@ RunCapture run_with_schedule(const FaultSchedule* schedule) {
   if (faulty) capture.faults = faulty->fault_stats();
   capture.machine_time_s = machine.now();
   capture.machine_energy_j = machine.energy_joules();
+  capture.exploration = controller.snapshot();
   return capture;
 }
 
@@ -213,6 +219,31 @@ TEST(FaultRecovery, ChaosScheduleIsDeterministicGivenTheSeed) {
   EXPECT_DOUBLE_EQ(a.machine_energy_j, b.machine_energy_j);
   // And the chaos actually bit: value faults and errors both fired.
   EXPECT_GT(a.faults.total(), 0u);
+}
+
+TEST(FaultRecovery, SensorWrapIntervalsNeverEnterTheJpiTables) {
+  // The joule counter regresses at several points of the run (a missed
+  // RAPL wrap): each regression yields one interval with a negative
+  // energy delta, which must be discarded like a transition sample.
+  FaultSchedule schedule;
+  schedule.add({FaultKind::kSensorWrap, 40, 30, 50})
+      .add({FaultKind::kSensorWrap, 200, 1, 5})
+      .add({FaultKind::kSensorWrap, 400, 0, 20});
+  for (const core::PolicyKind policy :
+       {core::PolicyKind::kFull, core::PolicyKind::kMpc}) {
+    const RunCapture capture = run_with_schedule(&schedule, policy);
+    EXPECT_GT(capture.faults.sensor_value_faults, 0u);
+    EXPECT_GT(capture.stats.samples_recorded, 0u);
+    ASSERT_FALSE(capture.exploration.empty());
+    for (const core::NodeSnapshot& node : capture.exploration.nodes) {
+      for (const core::DomainSnapshot* dom : {&node.cf, &node.uf}) {
+        for (const core::JpiCell& cell : dom->jpi) {
+          EXPECT_GE(cell.first, 0.0)
+              << core::to_string(policy) << " slab " << node.slab;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
