@@ -1,5 +1,6 @@
 #include "arbiter/shm_arbiter.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
@@ -188,7 +189,8 @@ std::unique_ptr<ShmArbiter> ShmArbiter::open(const std::string& path,
 
 ShmArbiter::ShmArbiter(std::string path, int fd, void* base, size_t bytes)
     : path_(std::move(path)), fd_(fd), base_(base), bytes_(bytes),
-      mine_(header()->nslots) {}
+      mine_(header()->nslots),
+      scratch_(header()->nslots) {}
 
 ShmArbiter::~ShmArbiter() {
   const int n = nslots();
@@ -285,20 +287,31 @@ Grant ShmArbiter::publish(int slot_index, const Demand& demand,
 
   // Decentralized arbitration: snapshot every live slot and run the same
   // pure allocate() every peer runs over the same state.
-  std::vector<double> demands;
-  std::vector<int> owners;
-  snapshot(&demands, &owners, nullptr, nullptr);
-  const ArbiterConfig cfg = config();
-  const std::vector<double> grants =
-      allocate(cfg.policy, cfg.budget_w, demands);
-  for (size_t k = 0; k < owners.size(); ++k) {
-    if (owners[k] == slot_index) {
-      return Grant{grants[k], grants[k] < demands[k] - 1e-12};
-    }
+  PublishScratch& scratch = scratch_[static_cast<size_t>(slot_index)];
+  if (scratch.open.capacity() == 0) {
+    // Sized for a full plane once, on the slot's first publish.
+    const auto n = static_cast<size_t>(nslots());
+    scratch.demands.reserve(n);
+    scratch.owners.reserve(n);
+    scratch.grants.reserve(n);
+    scratch.open.reserve(n);
   }
-  // Not in the snapshot: our lease vanished (reclaimed by a peer after a
-  // false death verdict, or an operator wiped the plane). Fail open.
-  return Grant{demand.watts, false};
+  scratch.demands.clear();
+  scratch.owners.clear();
+  snapshot(&scratch.demands, &scratch.owners, nullptr, nullptr);
+  const auto mine = std::find(scratch.owners.begin(), scratch.owners.end(),
+                              slot_index);
+  if (mine == scratch.owners.end()) {
+    // Not in the snapshot: our lease vanished (reclaimed by a peer after
+    // a false death verdict, or an operator wiped the plane). Fail open.
+    return Grant{demand.watts, false};
+  }
+  const size_t k = static_cast<size_t>(mine - scratch.owners.begin());
+  const ArbiterConfig cfg = config();
+  allocate(cfg.policy, cfg.budget_w, scratch.demands, &scratch.grants,
+           &scratch.open);
+  return Grant{scratch.grants[k],
+               scratch.grants[k] < scratch.demands[k] - 1e-12};
 }
 
 void ShmArbiter::read_slot(const PlaneSlot& s, uint64_t* tick,

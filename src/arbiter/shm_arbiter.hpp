@@ -75,7 +75,8 @@ inline constexpr uint32_t kPlaneVersion = 2;
 ///
 /// One instance may be shared by threads publishing to *distinct* slots
 /// (each slot has a single writer, its lease owner; everything shared is
-/// atomic) — that is what the seqlock torture test does under TSan.
+/// atomic, and publish()'s scratch buffers are per slot) — that is what
+/// the seqlock torture test does under TSan.
 class ShmArbiter final : public IArbiter {
  public:
   /// Map (creating and initializing if needed) the plane at `path`.
@@ -110,7 +111,7 @@ class ShmArbiter final : public IArbiter {
   PlaneSlot* slot(int i) const;
   /// Seqlock-consistent read of one slot's payload.
   void read_slot(const PlaneSlot& s, uint64_t* tick, Demand* demand) const;
-  /// Snapshot every live slot: reclaims dead leases, returns demands and
+  /// Snapshot every live slot: reclaims dead leases, appends demands and
   /// their owning slot indices in slot order.
   void snapshot(std::vector<double>* demands, std::vector<int>* owners,
                 std::vector<uint32_t>* pids,
@@ -122,6 +123,18 @@ class ShmArbiter final : public IArbiter {
   size_t bytes_ = 0;
   /// Slots attach()ed through this instance (released in the destructor).
   std::vector<std::atomic<bool>> mine_;
+  /// publish()'s snapshot and allocate() buffers, one set per slot,
+  /// sized for a full plane on the slot's first publish: a slot has one
+  /// writer, so threads publishing to distinct slots never share a set,
+  /// and later publishes allocate nothing. Aligned so two publishers'
+  /// sets never share a cache line.
+  struct alignas(64) PublishScratch {
+    std::vector<double> demands;
+    std::vector<int> owners;
+    std::vector<double> grants;
+    std::vector<size_t> open;
+  };
+  std::vector<PublishScratch> scratch_;
 };
 
 }  // namespace cuttlefish::arbiter

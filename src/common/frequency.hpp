@@ -55,6 +55,8 @@ class FreqLadder {
   std::vector<FreqMHz> all() const;
   std::string to_string() const;
 
+  bool operator==(const FreqLadder&) const = default;
+
  private:
   FreqMHz min_;
   FreqMHz max_;

@@ -61,6 +61,19 @@ class QuantumRunner {
   std::vector<TimePoint>* timeline_;
 };
 
+/// The run's machine: on the borrowed rate table when the options carry
+/// one, else on a private table.
+sim::SimMachine make_machine(const sim::MachineConfig& machine_cfg,
+                             const sim::PhaseProgram& program,
+                             const RunOptions& options) {
+  if (options.rates == nullptr) {
+    return sim::SimMachine(machine_cfg, program, options.seed);
+  }
+  CF_ASSERT(options.rates->serves(machine_cfg, program),
+            "rate table belongs to another program or machine");
+  return sim::SimMachine(*options.rates, options.seed);
+}
+
 RunResult finish_result(const sim::SimMachine& machine, RunResult result) {
   result.time_s = machine.now();
   result.energy_j = machine.energy_joules();
@@ -73,7 +86,7 @@ RunResult finish_result(const sim::SimMachine& machine, RunResult result) {
 RunResult run_default(const sim::MachineConfig& machine_cfg,
                       const sim::PhaseProgram& program,
                       const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
+  sim::SimMachine machine = make_machine(machine_cfg, program, options);
   machine.set_core_frequency(machine_cfg.core_ladder.max());
   sim::FirmwareUncoreGovernor governor(machine);
   RunResult result;
@@ -89,7 +102,7 @@ RunResult run_default(const sim::MachineConfig& machine_cfg,
 RunResult run_fixed(const sim::MachineConfig& machine_cfg,
                     const sim::PhaseProgram& program, FreqMHz cf, FreqMHz uf,
                     const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
+  sim::SimMachine machine = make_machine(machine_cfg, program, options);
   machine.set_core_frequency(cf);
   machine.set_uncore_frequency(uf);
   RunResult result;
@@ -103,7 +116,7 @@ RunResult run_fixed(const sim::MachineConfig& machine_cfg,
 RunResult run_policy(const sim::MachineConfig& machine_cfg,
                      const sim::PhaseProgram& program,
                      core::PolicyKind policy, const RunOptions& options) {
-  sim::SimMachine machine(machine_cfg, program, options.seed);
+  sim::SimMachine machine = make_machine(machine_cfg, program, options);
   sim::SimPlatform base(machine);
   // Fault injection wraps the platform, not the machine: the workload and
   // power model stay byte-identical, only the controller's I/O is faulted.

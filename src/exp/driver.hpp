@@ -11,6 +11,9 @@
 namespace cuttlefish::hal {
 class FaultSchedule;
 }
+namespace cuttlefish::sim {
+class RateTable;
+}
 
 namespace cuttlefish::exp {
 
@@ -74,6 +77,12 @@ struct RunOptions {
   const hal::FaultSchedule* faults = nullptr;
   /// Node-local power-budget arbitration (policy runs only).
   ArbiterSpec arbiter;
+  /// Rate table the run's SimMachine borrows (borrowed, may be null: the
+  /// machine then evaluates into a private one). It must be the table of
+  /// the run's program on the run's machine config. Cached rates are
+  /// bit-exact, so a table never changes a result and is not part of a
+  /// spec's identity.
+  sim::RateTable* rates = nullptr;
 };
 
 /// The paper's Default baseline: performance governor (CF pinned at max)

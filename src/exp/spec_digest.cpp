@@ -164,9 +164,10 @@ std::string encode_spec(const RunSpec& spec) {
   w.u64(spec.seed);
 
   // Options. options.seed is excluded (run_spec overwrites it with
-  // spec.seed); everything else is hashed as-is rather than canonicalized
-  // per run kind — a field the driver happens to ignore today costs at
-  // most a spurious miss, never a wrong hit.
+  // spec.seed), as are the borrowed faults and rates pointers (neither is
+  // part of a spec's identity); everything else is hashed as-is rather
+  // than canonicalized per run kind — a field the driver happens to
+  // ignore today costs at most a spurious miss, never a wrong hit.
   w.u8(spec.options.capture_timeline ? 1 : 0);
   const core::ControllerConfig& c = spec.options.controller;
   w.u8(static_cast<uint8_t>(c.policy));

@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <map>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <unordered_set>
@@ -251,7 +251,7 @@ bool read_manifest(const std::string& path, const SpecDigest* grid,
   for (;;) ::pause();
 }
 
-/// The specs that share one calibrated program (run_sweep's memo key).
+/// The key of a program group (exp::program_groups).
 using ProgramKey = std::tuple<const workloads::BenchmarkModel*,
                               const sim::MachineConfig*, uint64_t>;
 
@@ -261,15 +261,19 @@ ProgramKey program_key(const RunSpec& spec) {
 
 /// The forked worker of one lease: runs `specs` in order and streams each
 /// result down `fd` as one record of a worker-stream log (payload: u64
-/// spec | encode_result bytes), then _exits. Programs are memoised per
-/// ProgramKey as run_sweep does, so the bits are the same. Never returns
+/// spec | encode_result bytes), then _exits. Leases are group-major (see
+/// the deal in run()), so the worker keeps one calibrated program live at
+/// a time, beside the rate table its calibration filled, as run_sweep's
+/// group tasks do; the bits are the same. A group that recurred later in
+/// a lease would only be calibrated again, to the same bits. Never returns
 /// to the supervisor's code; _exit skips atexit/stdio so the parent's
 /// buffered output is not replayed.
 [[noreturn]] void worker_main(const SweepGrid& grid,
                               const std::vector<uint64_t>& specs,
                               const std::vector<uint32_t>& attempts,
                               const CrashSpec& crash, int fd) {
-  std::map<ProgramKey, sim::PhaseProgram> programs;
+  std::unique_ptr<CalibratedProgram> calibrated;
+  ProgramKey calibrated_key{};
   std::string stream = log_header(LogKind::kWorkerResult, {});
   for (const uint64_t i : specs) {
     if (crash.enabled() && crash.spec_index == static_cast<int64_t>(i) &&
@@ -277,14 +281,16 @@ ProgramKey program_key(const RunSpec& spec) {
       crash_now(crash.mode);
     }
     const RunSpec& spec = grid.specs()[i];
-    const auto [program, fresh] = programs.try_emplace(program_key(spec));
-    if (fresh) {
-      program->second =
-          build_calibrated(*spec.model, *spec.machine, spec.seed);
+    if (calibrated == nullptr || program_key(spec) != calibrated_key) {
+      calibrated_key = program_key(spec);
+      calibrated.reset();  // before the next is built: one live at a time
+      calibrated = std::make_unique<CalibratedProgram>(
+          *spec.model, *spec.machine, spec.seed);
     }
     BlobWriter row;
     row.u64(i);
-    const std::string result = encode_result(run_spec(spec, program->second));
+    const std::string result = encode_result(
+        run_spec(spec, calibrated->program, &calibrated->rates));
     row.bytes(result.data(), result.size());
     append_record(&stream, row.data());
     if (!write_all(fd, stream)) ::_exit(kWorkerWriteFailure);
@@ -641,19 +647,23 @@ std::vector<RunResult> SweepSupervisor::run(SupervisorReport* report_out) {
     }
 
     // Lease the pending specs that are past their backoff to the free
-    // worker slots. Whole program groups (the specs of one ProgramKey) are
-    // dealt round-robin, in order of first appearance: no program is
+    // worker slots. Whole program groups (exp::program_groups) are dealt
+    // round-robin, in order of first appearance: no program is
     // calibrated twice, and a grid that clusters its expensive points
-    // still splits evenly, as shard_owns strides shards.
+    // still splits evenly, as shard_owns strides shards. A lease lists
+    // its groups one after another (each in grid order), so its worker
+    // holds one calibrated program at a time.
     if (leases.size() < max_workers) {
-      std::vector<std::vector<uint64_t>> deal(max_workers - leases.size());
-      std::map<ProgramKey, size_t> group;
+      std::vector<uint64_t> ready;
       for (const uint64_t i : pending) {
-        if (ready_at[i] > now) continue;
-        const size_t g =
-            group.try_emplace(program_key(grid_->specs()[i]), group.size())
-                .first->second;
-        deal[g % deal.size()].push_back(i);
+        if (ready_at[i] <= now) ready.push_back(i);
+      }
+      const std::vector<std::vector<uint64_t>> groups =
+          program_groups(*grid_, ready);
+      std::vector<std::vector<uint64_t>> deal(max_workers - leases.size());
+      for (size_t g = 0; g < groups.size(); ++g) {
+        std::vector<uint64_t>& specs = deal[g % deal.size()];
+        specs.insert(specs.end(), groups[g].begin(), groups[g].end());
       }
       for (std::vector<uint64_t>& specs : deal) {
         if (!specs.empty()) start_lease(std::move(specs));

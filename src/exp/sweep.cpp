@@ -84,11 +84,13 @@ int SweepGrid::spec_index(int point, int rep) const {
   return p.first_spec + rep;
 }
 
-RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program) {
+RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program,
+                   sim::RateTable* rates) {
   CF_ASSERT(spec.model != nullptr && spec.machine != nullptr,
             "spec missing model or machine");
   RunOptions options = spec.options;
   options.seed = spec.seed;
+  if (rates != nullptr) options.rates = rates;
   switch (spec.kind) {
     case RunKind::kDefault:
       return run_default(*spec.machine, program, options);
@@ -104,11 +106,28 @@ RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program) {
 RunResult run_spec(const RunSpec& spec) {
   CF_ASSERT(spec.model != nullptr && spec.machine != nullptr,
             "spec missing model or machine");
-  // A standalone run owns its program: build_calibrated is deterministic
+  // A standalone run owns its program: the calibration is deterministic
   // in (model, machine, seed), so rebuilding here produces the same bits
-  // run_sweep's memoised copy would.
-  return run_spec(spec,
-                  build_calibrated(*spec.model, *spec.machine, spec.seed));
+  // run_sweep's per-group copy would.
+  CalibratedProgram calibrated(*spec.model, *spec.machine, spec.seed);
+  return run_spec(spec, calibrated.program, &calibrated.rates);
+}
+
+std::vector<std::vector<uint64_t>> program_groups(
+    const SweepGrid& grid, const std::vector<uint64_t>& indices) {
+  std::map<std::tuple<const workloads::BenchmarkModel*,
+                      const sim::MachineConfig*, uint64_t>,
+           size_t>
+      group_of;
+  std::vector<std::vector<uint64_t>> groups;
+  for (const uint64_t idx : indices) {
+    const RunSpec& spec = grid.specs()[idx];
+    const auto [it, inserted] = group_of.emplace(
+        std::make_tuple(spec.model, spec.machine, spec.seed), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(idx);
+  }
+  return groups;
 }
 
 void sweep_ordered(int64_t n, const std::function<void(int64_t)>& fn,
@@ -129,51 +148,34 @@ namespace {
 /// in the full-size `results` vector.
 ///
 /// Calibrated programs are a pure function of (model, machine, seed) — the
-/// full memo key — and a grid reuses each one across its variant points
-/// (Default + three policies share the same seeds, Fig. 3 sweeps share one
-/// model across a frequency grid), so every unique program is calibrated
-/// exactly once — itself fanned out — and then shared read-only by the
-/// runs. Sharing changes no bits: run_spec(spec) would rebuild the
-/// identical program. The memo spans only `indices`: when the cache or a
-/// shard partition shrinks the work list, no program is calibrated for a
-/// spec that will not run.
+/// program group key — and a grid reuses each one across its variant
+/// points (Default + three policies share the same seeds, Fig. 3 sweeps
+/// share one model across a frequency grid). So the work fans out as one
+/// task per program group: build and calibrate the group's program, then
+/// run its specs in index order, every run borrowing the rate table the
+/// calibration filled. Each operating point is evaluated once per
+/// program, and each table stays on the one thread that fills it. Sharing
+/// changes no bits: run_spec(spec) would rebuild the identical program,
+/// and cached rates are exact. Groups span only `indices`: when the cache
+/// or a shard partition shrinks the work list, no program is calibrated
+/// for a spec that will not run.
 void run_subset(const SweepGrid& grid, const std::vector<uint64_t>& indices,
                 runtime::TaskScheduler* scheduler,
                 std::vector<RunResult>* results) {
-  if (indices.empty()) return;
   const std::vector<RunSpec>& specs = grid.specs();
-  std::map<std::tuple<const workloads::BenchmarkModel*,
-                      const sim::MachineConfig*, uint64_t>,
-           size_t>
-      program_index;
-  std::vector<size_t> spec_program(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const RunSpec& spec = specs[indices[i]];
-    const auto key = std::make_tuple(spec.model, spec.machine, spec.seed);
-    const auto [it, inserted] =
-        program_index.emplace(key, program_index.size());
-    spec_program[i] = it->second;
-  }
-  std::vector<const RunSpec*> rep_spec(program_index.size());
-  for (size_t i = indices.size(); i-- > 0;) {
-    rep_spec[spec_program[i]] = &specs[indices[i]];
-  }
-  std::vector<sim::PhaseProgram> programs(program_index.size());
+  const std::vector<std::vector<uint64_t>> groups =
+      program_groups(grid, indices);
   sweep_ordered(
-      static_cast<int64_t>(programs.size()),
-      [&](int64_t i) {
-        const RunSpec& spec = *rep_spec[static_cast<size_t>(i)];
-        programs[static_cast<size_t>(i)] =
-            build_calibrated(*spec.model, *spec.machine, spec.seed);
-      },
-      scheduler);
-
-  sweep_ordered(
-      static_cast<int64_t>(indices.size()),
-      [&](int64_t i) {
-        const uint64_t idx = indices[static_cast<size_t>(i)];
-        (*results)[idx] =
-            run_spec(specs[idx], programs[spec_program[static_cast<size_t>(i)]]);
+      static_cast<int64_t>(groups.size()),
+      [&](int64_t g) {
+        const std::vector<uint64_t>& group = groups[static_cast<size_t>(g)];
+        const RunSpec& first = specs[group.front()];
+        CalibratedProgram calibrated(*first.model, *first.machine,
+                                     first.seed);
+        for (const uint64_t idx : group) {
+          (*results)[idx] =
+              run_spec(specs[idx], calibrated.program, &calibrated.rates);
+        }
       },
       scheduler);
 }

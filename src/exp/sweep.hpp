@@ -23,13 +23,15 @@ namespace cuttlefish::exp {
 ///
 ///  * **Determinism.** A spec's seed is fixed at grid-expansion time
 ///    (derived from its point's seed base and replicate index, never from
-///    execution order), every run builds its own calibrated PhaseProgram
-///    from that seed, and results land at the spec's index in the output
-///    vector. The result table is therefore bit-identical whether the grid
-///    runs serially or on N workers.
+///    execution order), each program group builds its own calibrated
+///    PhaseProgram from that seed, and results land at the spec's index
+///    in the output vector. The result table is therefore bit-identical
+///    whether the grid runs serially or on N workers.
 ///
 ///  * **Isolation.** Tasks share only immutable inputs (the
-///    MachineConfig, the BenchmarkModel); each constructs its own
+///    MachineConfig, the BenchmarkModel). A task is one program group —
+///    the specs sharing one calibrated program — and owns that program
+///    and its RateTable; each run constructs its own
 ///    SimMachine/Controller, so no synchronisation is needed beyond the
 ///    runtime's own join.
 
@@ -101,8 +103,18 @@ class SweepGrid {
 /// own calibrated program.
 RunResult run_spec(const RunSpec& spec);
 /// Execute one spec against a pre-built calibrated program (run_sweep
-/// memoises programs per unique (model, seed) and shares them read-only).
-RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program);
+/// builds one per program group and shares it read-only). A non-null
+/// `rates` — the table of `program` on *spec.machine — replaces
+/// spec.options.rates for this run.
+RunResult run_spec(const RunSpec& spec, const sim::PhaseProgram& program,
+                   sim::RateTable* rates = nullptr);
+
+/// The specs at `indices` split into program groups — the specs sharing
+/// one calibrated program, i.e. one (model, machine, seed) — in order of
+/// first appearance, each group's indices in the order given. The unit
+/// of work of run_sweep's tasks and of a supervised lease.
+std::vector<std::vector<uint64_t>> program_groups(
+    const SweepGrid& grid, const std::vector<uint64_t>& indices);
 
 class ResultCache;  // exp/result_cache.hpp
 

@@ -60,6 +60,8 @@ struct MachineConfig {
   /// floor is why package energy for compute-bound codes keeps improving
   /// all the way to fmax — the race-to-idle effect).
   double core_voltage(FreqMHz f) const;
+
+  bool operator==(const MachineConfig&) const = default;
 };
 
 /// The paper's evaluation machine: 20-core Xeon E5-2650 v3, core

@@ -77,29 +77,4 @@ void WorkloadCursor::skip_empty() {
   }
 }
 
-bool WorkloadCursor::done() const {
-  return program_ == nullptr || index_ >= program_->segments().size();
-}
-
-const OperatingPoint& WorkloadCursor::op() const {
-  CF_ASSERT(!done(), "cursor exhausted");
-  return program_->segments()[index_].op;
-}
-
-uint32_t WorkloadCursor::op_index() const {
-  CF_ASSERT(!done(), "cursor exhausted");
-  return program_->segments()[index_].op_index;
-}
-
-void WorkloadCursor::consume(double instructions) {
-  CF_ASSERT(!done(), "consuming from exhausted cursor");
-  CF_ASSERT(instructions <= remaining_ + 1e-6,
-            "consuming beyond segment boundary");
-  remaining_ -= instructions;
-  if (remaining_ <= 1e-6) {
-    remaining_ = 0.0;
-    skip_empty();
-  }
-}
-
 }  // namespace cuttlefish::sim

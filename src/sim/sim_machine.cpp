@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 #include "hal/msr.hpp"
@@ -15,24 +14,27 @@ namespace {
 /// paper-calibrated sigmas (<= a few percent) sit far above the floor, so
 /// their noise streams are untouched bit-for-bit.
 constexpr double kNoiseFloorFactor = 1e-3;
-constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 SimMachine::SimMachine(const MachineConfig& cfg, const PhaseProgram& program,
                        uint64_t noise_seed)
-    : cfg_(cfg),
-      perf_(cfg_),
-      power_(cfg_),
-      cursor_(&program),
+    : SimMachine(std::make_unique<RateTable>(cfg, program), noise_seed) {}
+
+SimMachine::SimMachine(std::unique_ptr<RateTable> own_rates,
+                       uint64_t noise_seed)
+    : SimMachine(*own_rates, noise_seed) {
+  own_rates_ = std::move(own_rates);
+}
+
+SimMachine::SimMachine(RateTable& rates, uint64_t noise_seed)
+    : cfg_(rates.config()),
+      rates_(&rates),
+      cursor_(&rates.program()),
       noise_(noise_seed),
       core_f_(cfg_.core_ladder.max()),
       uncore_f_(cfg_.uncore_ladder.max()),
       cf_level_(cfg_.core_ladder.max_level()),
-      uf_level_(cfg_.uncore_ladder.max_level()),
-      rates_(program.ops().size()),
-      stall_watts_(static_cast<size_t>(cfg_.core_ladder.levels()) *
-                       static_cast<size_t>(cfg_.uncore_ladder.levels()),
-                   kUnfilled) {}
+      uf_level_(cfg_.uncore_ladder.max_level()) {}
 
 void SimMachine::set_core_frequency(FreqMHz f) {
   CF_ASSERT(cfg_.core_ladder.contains(f), "core frequency off ladder");
@@ -40,7 +42,7 @@ void SimMachine::set_core_frequency(FreqMHz f) {
     stall_s_ += cfg_.core_switch_latency_s;
     freq_switches_ += 1;
     cf_level_ = cfg_.core_ladder.level_of(f);
-    rate_ = nullptr;
+    rate_op_ = kNoOp;
   }
   core_f_ = f;
 }
@@ -51,7 +53,7 @@ void SimMachine::set_uncore_frequency(FreqMHz f) {
     stall_s_ += cfg_.uncore_switch_latency_s;
     freq_switches_ += 1;
     uf_level_ = cfg_.uncore_ladder.level_of(f);
-    rate_ = nullptr;
+    rate_op_ = kNoOp;
   }
   uncore_f_ = f;
 }
@@ -65,60 +67,10 @@ double SimMachine::power_noise_factor() {
   return std::max(kNoiseFloorFactor, 1.0 + cfg_.power_noise_sigma * z);
 }
 
-const SimMachine::OpRate& SimMachine::rate_at(uint32_t op_index) const {
-  const auto ncf = static_cast<size_t>(cfg_.core_ladder.levels());
-  const auto nuf = static_cast<uint32_t>(cfg_.uncore_ladder.levels());
-  auto& row_ptr = rates_[op_index];
-  if (row_ptr == nullptr) {
-    row_ptr = std::make_unique<OpRates>();
-    row_ptr->terms.assign(ncf + nuf, kUnfilled);
-  }
-  OpRates& row = *row_ptr;
-  const uint32_t key = static_cast<uint32_t>(cf_level_) * nuf +
-                       static_cast<uint32_t>(uf_level_);
-  OpRate& e = row.slots[key % kRateSlots];
-  if (e.key != key) {
-    // Exactly PerfModel::instructions_per_second, with the two p-norm
-    // terms memoised per ladder level: the smooth-min factors over an
-    // op's (CF, UF) grid are separable, so exploring a ladder re-pays
-    // only the combining pow.
-    const OperatingPoint& op = cursor_.program()->ops()[op_index];
-    const double c = perf_.compute_roofline(core_f_, op);
-    const double m = perf_.memory_roofline(uncore_f_, op);
-    double ips;
-    if (!std::isfinite(m)) {
-      ips = c;
-    } else {
-      double& ct = row.terms[static_cast<size_t>(cf_level_)];
-      if (std::isnan(ct)) ct = perf_.roofline_term(c);
-      double& mt = row.terms[ncf + static_cast<size_t>(uf_level_)];
-      if (std::isnan(mt)) mt = perf_.roofline_term(m);
-      ips = perf_.combine_rooflines(ct, mt);
-    }
-    e.key = key;
-    e.ips = ips;
-    e.util = ips / c;  // PerfModel::utilization_given_ips, c already known
-    e.watts = power_.package_watts(core_f_, uncore_f_, e.util, ips * op.tipi);
-  }
-  return e;
-}
-
-double SimMachine::stall_watts() const {
-  double& w = stall_watts_[static_cast<size_t>(cf_level_) *
-                               static_cast<size_t>(cfg_.uncore_ladder.levels()) +
-                           static_cast<size_t>(uf_level_)];
-  if (std::isnan(w)) {
-    // PLL relock: cores halted, no instructions retire; the package still
-    // burns static + gated-core + uncore power.
-    w = power_.package_watts(core_f_, uncore_f_, 0.0, 0.0);
-  }
-  return w;
-}
-
 double SimMachine::demand_bandwidth_now() const {
   if (cursor_.done()) return 0.0;
-  return perf_.demand_bandwidth(rate_at(cursor_.op_index()).ips,
-                                cursor_.op());
+  return rates_->perf_model().demand_bandwidth(current_rate().ips,
+                                               cursor_.op());
 }
 
 double SimMachine::advance(double dt) {
@@ -127,7 +79,8 @@ double SimMachine::advance(double dt) {
   while (left > 1e-12 && !cursor_.done()) {
     if (stall_s_ > 1e-12) {
       const double step = std::min(left, stall_s_);
-      energy_j_ += stall_watts() * step * power_noise_factor();
+      energy_j_ += rates_->stall_watts(cf_level_, uf_level_) * step *
+                   power_noise_factor();
       now_s_ += step;
       stall_s_ -= step;
       left -= step;
@@ -135,18 +88,14 @@ double SimMachine::advance(double dt) {
     }
     // Rates are segment-invariant: the lookup is skipped entirely until
     // the operating point (segment boundary) or a frequency changes.
-    const uint32_t oi = cursor_.op_index();
-    if (rate_ == nullptr || oi != rate_op_) {
-      rate_ = &rate_at(oi);
-      rate_op_ = oi;
-    }
-    const double ips = rate_->ips;
+    const OpRate& rate = current_rate();
+    const double ips = rate.ips;
     CF_ASSERT(ips > 0.0, "non-positive throughput");
     const double seg_time = cursor_.remaining_in_segment() / ips;
     const double step = std::min(left, seg_time);
     const double instr = ips * step;
 
-    energy_j_ += rate_->watts * step * power_noise_factor();
+    energy_j_ += rate.watts * step * power_noise_factor();
     instr_ += instr;
     tor_ += instr * cursor_.op().tipi;
     cursor_.consume(instr);

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "hal/msr_device.hpp"
@@ -11,6 +9,7 @@
 #include "sim/perf_model.hpp"
 #include "sim/phase_workload.hpp"
 #include "sim/power_model.hpp"
+#include "sim/rate_table.hpp"
 
 namespace cuttlefish::sim {
 
@@ -27,24 +26,23 @@ namespace cuttlefish::sim {
 ///
 /// Hot path: {ips, utilization, watts} depend only on the segment's
 /// operating point and the (CF, UF) pair, both drawn from small discrete
-/// sets (PhaseProgram dedupes ops; frequencies live on ladders). Each
-/// deduped op the machine touches gets a small row: a direct-mapped cache
-/// of kRateSlots evaluated (CF, UF) points plus the per-ladder-level
-/// p-norm terms of its two rooflines, so a revisited point is a lookup and
-/// a cold one costs a single pow. Within a segment the current rates are
-/// hoisted out of the advance loop, so steady-state quanta are
-/// multiply-adds. A row costs about half a KiB on the Haswell ladders,
-/// where a full (CF, UF) grid of rates would take over 5 KiB; that matters
-/// because jittered suite models make almost every segment a distinct op,
-/// and every run and calibration pass pays for each op it touches. Cached
-/// entries hold the exact doubles direct evaluation produces and the
-/// per-quantum accumulation order is unchanged, so every counter — and
-/// therefore every decision trace and paper table above — is bit-identical
-/// to the uncached path.
+/// sets (PhaseProgram dedupes ops; frequencies live on ladders). The
+/// machine looks them up in a RateTable — its own, or one it borrows from
+/// the caller so every run of a program shares one set of evaluations —
+/// and hoists the current segment's rates out of the advance loop by
+/// value, so steady-state quanta are multiply-adds. Cached rates are the
+/// exact doubles direct evaluation produces and the per-quantum
+/// accumulation order is unchanged, so every counter — and therefore every
+/// decision trace and paper table above — is bit-identical to the
+/// uncached path, whichever table the machine uses.
 class SimMachine final : public hal::MsrDevice {
  public:
+  /// A machine with a private RateTable.
   SimMachine(const MachineConfig& cfg, const PhaseProgram& program,
              uint64_t noise_seed = 0x5eedULL);
+  /// A machine running rates.program() on rates.config() that borrows
+  /// `rates`, which must outlive it.
+  explicit SimMachine(RateTable& rates, uint64_t noise_seed = 0x5eedULL);
 
   /// Advance virtual time by up to `dt` seconds; stops early if the
   /// workload completes. Returns the time actually elapsed.
@@ -87,8 +85,8 @@ class SimMachine final : public hal::MsrDevice {
   void set_uncore_frequency(FreqMHz f);
 
   const MachineConfig& config() const { return cfg_; }
-  const PerfModel& perf_model() const { return perf_; }
-  const PowerModel& power_model() const { return power_; }
+  const PerfModel& perf_model() const { return rates_->perf_model(); }
+  const PowerModel& power_model() const { return rates_->power_model(); }
 
   /// Current bandwidth demand [bytes/s] at the present operating point;
   /// consumed by the firmware uncore governor of Default runs.
@@ -103,39 +101,24 @@ class SimMachine final : public hal::MsrDevice {
   bool write(uint32_t address, uint64_t value) override;
 
  private:
-  static constexpr uint32_t kNoKey = UINT32_MAX;
-  static constexpr uint32_t kRateSlots = 8;
+  static constexpr uint32_t kNoOp = UINT32_MAX;
 
-  /// One cached steady-state operating point evaluation, tagged with its
-  /// (CF, UF) key cf_level * nuf + uf_level (kNoKey = empty slot).
-  struct OpRate {
-    uint32_t key = kNoKey;
-    double ips = 0.0;
-    double util = 0.0;
-    double watts = 0.0;
-  };
-  /// Rates of one deduped operating point: kRateSlots OpRates direct-mapped
-  /// on key % kRateSlots, plus the memoised p-norm terms of each roofline,
-  /// so a cold (CF, UF) visit whose factors are already known costs one
-  /// pow, not three. Rows are heap-allocated on an op's first touch:
-  /// programs with many distinct ops only pay for the ops they run.
-  ///
-  /// rate_ points into a slot. That is safe because a slot is re-keyed
-  /// only by rate_at() on the same op at another (CF, UF) key, which needs
-  /// a frequency change first, and a frequency change already clears
-  /// rate_.
-  struct OpRates {
-    std::array<OpRate, kRateSlots> slots;
-    std::vector<double> terms;  // c_term per CF level, then m_term per UF
-                                // level; NaN = unfilled
-  };
+  SimMachine(std::unique_ptr<RateTable> own_rates, uint64_t noise_seed);
 
-  const OpRate& rate_at(uint32_t op_index) const;
-  double stall_watts() const;
+  /// Rates of the current segment at the current frequencies, refreshed
+  /// from the table when the operating point or a frequency changed.
+  const OpRate& current_rate() const {
+    const uint32_t oi = cursor_.op_index();
+    if (oi != rate_op_) {
+      rate_ = rates_->at(oi, cf_level_, uf_level_);
+      rate_op_ = oi;
+    }
+    return rate_;
+  }
 
-  MachineConfig cfg_;
-  PerfModel perf_;
-  PowerModel power_;
+  MachineConfig cfg_;  // a copy of rates_->config(), read every quantum
+  std::unique_ptr<RateTable> own_rates_;  // set by the owning constructor
+  RateTable* rates_;
   WorkloadCursor cursor_;
   SplitMix64 noise_;
 
@@ -150,14 +133,12 @@ class SimMachine final : public hal::MsrDevice {
   Level cf_level_;
   Level uf_level_;
 
-  // Lazily-filled caches (mutable: filling is observationally pure —
-  // demand_bandwidth_now() is logically const). rate_ hoists the current
-  // segment's rates out of the advance loop: it stays valid until the
-  // operating point or a frequency changes.
-  mutable std::vector<std::unique_ptr<OpRates>> rates_;
-  mutable std::vector<double> stall_watts_;  // per (CF, UF); NaN = unfilled
-  mutable const OpRate* rate_ = nullptr;
-  mutable uint32_t rate_op_ = 0;
+  // The current segment's rates, copied out of the table (mutable:
+  // refreshing is observationally pure — demand_bandwidth_now() is
+  // logically const). Valid while rate_op_ is the cursor's op; kNoOp
+  // after a frequency change.
+  mutable OpRate rate_;
+  mutable uint32_t rate_op_ = kNoOp;
 
   double power_noise_factor();
 };

@@ -1,7 +1,7 @@
 // The arbitrated tick's hot path costs no heap traffic and no ladder
-// scan. Steady-state LocalArbiter::publish and ArbitratedPlatform's
-// sensor sample allocate nothing, capped or uncapped, under both share
-// policies — measured by replacing the global operator new with a
+// scan. Steady-state LocalArbiter::publish, ShmArbiter::publish and
+// ArbitratedPlatform's sensor sample allocate nothing, capped or
+// uncapped, under both share policies — measured by replacing the global operator new with a
 // byte-counting version, like sim_footprint_test does. The in-place
 // allocate() form equals the vector form bit for bit, and the O(1)
 // FreqLadder::floor_level the grant clamp uses picks the level the old
@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "arbiter/local_arbiter.hpp"
+#include "arbiter/shm_arbiter.hpp"
 #include "common/frequency.hpp"
 #include "common/rng.hpp"
 #include "hal/arbitrated.hpp"
@@ -124,6 +128,43 @@ TEST(ArbiterHotPath, LocalPublishAllocatesNothing) {
       EXPECT_EQ(g_bytes.load() - before, 0u);
     }
   }
+}
+
+TEST(ArbiterHotPath, ShmPublishAllocatesNothing) {
+  char tmpl[] = "/tmp/cf-arbiter-hotpath-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  int plane = 0;
+  for (const SharePolicy policy : kPolicies) {
+    for (const double budget : {0.0, 1000.0, 60.0}) {
+      SCOPED_TRACE(std::string(to_string(policy)) + " budget " +
+                   std::to_string(budget));
+      const std::string path = dir + "/plane" + std::to_string(plane++);
+      std::string error;
+      const std::unique_ptr<arbiter::ShmArbiter> arb = arbiter::ShmArbiter::open(
+          path, ArbiterConfig{budget, policy}, 8, &error);
+      ASSERT_NE(arb, nullptr) << error;
+      int slots[4];
+      for (int& s : slots) s = arb->attach();
+      SplitMix64 rng(23);
+      bool capped = false;
+      const auto publish_round = [&](uint64_t tick) {
+        for (const int s : slots) {
+          Demand d;
+          d.watts = static_cast<double>(rng.next_below(60));
+          capped = arb->publish(s, d, tick).capped || capped;
+        }
+      };
+      publish_round(1);
+      const uint64_t before = g_bytes.load();
+      for (uint64_t tick = 2; tick < 500; ++tick) publish_round(tick);
+      EXPECT_EQ(g_bytes.load() - before, 0u);
+      // The 60 W plane really divided a short budget while counted.
+      EXPECT_EQ(capped, budget == 60.0);
+      std::remove(path.c_str());
+    }
+  }
+  ::rmdir(dir.c_str());
 }
 
 TEST(ArbiterHotPath, ArbitratedSampleAllocatesNothing) {
